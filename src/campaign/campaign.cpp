@@ -1,5 +1,6 @@
 #include "campaign/campaign.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cmath>
@@ -21,7 +22,10 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kSpecSchema = "ccdem-campaign-v1";
-constexpr const char* kManifestSchema = "ccdem-campaign-manifest-v1";
+constexpr const char* kManifestSchema = "ccdem-campaign-manifest-v2";
+// v1 manifests checkpointed contiguous shard ranges; their done shard files
+// hold other indices than the same shard numbers do now.
+constexpr const char* kContiguousManifestSchema = "ccdem-campaign-manifest-v1";
 constexpr const char* kGrids[] = {"2k", "4k", "9k", "36k", "full"};
 
 bool known_grid(const std::string& g) {
@@ -307,12 +311,26 @@ std::optional<std::string> CampaignSpec::validate() const {
 
 std::uint64_t CampaignSpec::fingerprint() const { return fnv1a(to_string()); }
 
-ShardRange shard_range(const CampaignSpec& spec, int shard) {
+int shard_of(std::uint64_t index, int shards) {
+  assert(shards >= 1);
+  const auto s = static_cast<std::uint64_t>(shards);
+  return static_cast<int>((index % s + index / s) % s);
+}
+
+std::vector<std::uint64_t> shard_indices(const CampaignSpec& spec,
+                                         int shard) {
   assert(shard >= 0 && shard < spec.shards);
   const std::uint64_t n = spec.size();
   const auto s = static_cast<std::uint64_t>(spec.shards);
-  const auto i = static_cast<std::uint64_t>(shard);
-  return ShardRange{n * i / s, n * (i + 1) / s};
+  const auto k = static_cast<std::uint64_t>(shard);
+  // Row r = [r*S, (r+1)*S) gives shard k its column (k - r) mod S.
+  std::vector<std::uint64_t> out;
+  out.reserve(static_cast<std::size_t>(n / s + 1));
+  for (std::uint64_t row = 0; row * s < n; ++row) {
+    const std::uint64_t i = row * s + (k + s - row % s) % s;
+    if (i < n) out.push_back(i);
+  }
+  return out;
 }
 
 std::string shard_file_name(int shard) {
@@ -351,10 +369,10 @@ bool Manifest::is_quarantined(std::uint64_t index) const {
   return false;
 }
 
-std::vector<std::uint64_t> Manifest::quarantined_in(ShardRange range) const {
+std::vector<std::uint64_t> Manifest::quarantined_in(int shard) const {
   std::vector<std::uint64_t> out;
   for (const Quarantine& q : quarantined) {
-    if (q.index >= range.begin && q.index < range.end) out.push_back(q.index);
+    if (shard_of(q.index, shards) == shard) out.push_back(q.index);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -421,6 +439,12 @@ std::optional<Manifest> Manifest::parse(const std::string& text,
       return fail(line_no, "expected 'key = value'");
     }
     if (key == "schema") {
+      if (value == kContiguousManifestSchema) {
+        return fail(line_no, "manifest schema '" + value +
+                                 "' checkpoints contiguous shard ranges, "
+                                 "which this version no longer deals; rerun "
+                                 "the campaign in a fresh directory");
+      }
       if (value != kManifestSchema) {
         return fail(line_no, "unsupported schema '" + value + "'");
       }

@@ -2,14 +2,16 @@
 //
 // A campaign is a scenario matrix -- the cartesian product
 // app x mode x grid x fault-scale x pressure-scale x seed -- plus
-// per-run settings, sharded
-// into contiguous index ranges that worker processes execute independently.
-// Everything is pure data in the repo's strict key=value dialect, so a
-// campaign can be described, resumed and audited without recompiling.
+// per-run settings, dealt into shards that worker processes execute
+// independently.  The deal is diagonal (shard_of), so every shard holds a
+// slice of every matrix axis and no shard is stuck with one costly app or
+// seed.  Everything is pure data in the repo's strict key=value dialect, so
+// a campaign can be described, resumed and audited without recompiling.
 //
-// The manifest (`ccdem-campaign-manifest-v1`) is the coordinator's
+// The manifest (`ccdem-campaign-manifest-v2`) is the coordinator's
 // checkpoint: it embeds the canonical spec (resume refuses a different
-// matrix via the fingerprint), one row per shard (pending/done + the shard
+// matrix via the fingerprint, and a v1 manifest, whose shards were
+// contiguous index ranges), one row per shard (pending/done + the shard
 // file's result/byte counts), and the quarantine list of scenario indices
 // that crashed or tripped an oracle and were excluded after minimization.
 // The coordinator rewrites it atomically (tmp + rename) after every state
@@ -71,14 +73,18 @@ struct CampaignSpec {
   [[nodiscard]] bool operator==(const CampaignSpec&) const = default;
 };
 
-/// Contiguous scenario-index range [begin, end) owned by one shard.
-struct ShardRange {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  [[nodiscard]] std::uint64_t size() const { return end - begin; }
-};
+/// The shard that owns matrix index `index` out of `shards`: the diagonal
+/// deal (index mod S + index div S) mod S.  Each run of S consecutive
+/// indices starting at a multiple of S gives every shard exactly one, so
+/// shard sizes differ by at most one; the per-row rotation keeps a seed
+/// (the fastest axis) from landing on the same shard for every app and
+/// mode, as plain round-robin would.
+[[nodiscard]] int shard_of(std::uint64_t index, int shards);
 
-[[nodiscard]] ShardRange shard_range(const CampaignSpec& spec, int shard);
+/// The matrix indices shard `shard` owns, ascending -- the order its worker
+/// runs and folds them.
+[[nodiscard]] std::vector<std::uint64_t> shard_indices(
+    const CampaignSpec& spec, int shard);
 [[nodiscard]] std::string shard_file_name(int shard);      // shard_0007.bin
 [[nodiscard]] std::string shard_progress_name(int shard);  // shard_0007.progress
 
@@ -110,9 +116,8 @@ struct Manifest {
   [[nodiscard]] static Manifest fresh(const CampaignSpec& spec);
   [[nodiscard]] bool all_done() const;
   [[nodiscard]] bool is_quarantined(std::uint64_t index) const;
-  /// Quarantined indices inside `range`, ascending.
-  [[nodiscard]] std::vector<std::uint64_t> quarantined_in(
-      ShardRange range) const;
+  /// Quarantined indices owned by shard `shard`, ascending.
+  [[nodiscard]] std::vector<std::uint64_t> quarantined_in(int shard) const;
 
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] static std::optional<Manifest> parse(

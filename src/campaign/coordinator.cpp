@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -240,6 +241,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
   struct Running {
     pid_t pid;
     int shard;
+    std::chrono::steady_clock::time_point launched;
   };
   std::vector<Running> running;
   // Per-invocation launch counts: the persisted attempts survive resume for
@@ -267,7 +269,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
       if (s < 0) break;
       auto& row = manifest.shard_rows[static_cast<std::size_t>(s)];
       WorkerOptions w = options.worker;
-      w.skip = manifest.quarantined_in(shard_range(spec, s));
+      w.skip = manifest.quarantined_in(s);
       if (options.kill_shard != s || row.attempts > 0) w.kill_after_runs = 0;
       ++row.attempts;
       ++launches[static_cast<std::size_t>(s)];
@@ -277,7 +279,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
         result.error = "fork failed";
         return result;
       }
-      running.push_back(Running{pid, s});
+      running.push_back(Running{pid, s, std::chrono::steady_clock::now()});
       log_line(options.log, "shard " + std::to_string(s) + " launched (pid " +
                                 std::to_string(pid) + ", attempt " +
                                 std::to_string(row.attempts) + ")");
@@ -294,6 +296,9 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
                                  [&](const Running& r) { return r.pid == pid; });
     if (it == running.end()) continue;  // not one of ours
     const int s = it->shard;
+    const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - it->launched)
+                             .count();
     running.erase(it);
     auto& row = manifest.shard_rows[static_cast<std::size_t>(s)];
 
@@ -307,7 +312,8 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
         if (!save_manifest()) return result;
         log_line(options.log, "shard " + std::to_string(s) + " done (" +
                                   std::to_string(v.results) + " results, " +
-                                  std::to_string(v.bytes) + " bytes)");
+                                  std::to_string(v.bytes) + " bytes, " +
+                                  std::to_string(wall_ms) + " ms)");
       } else {
         log_line(options.log,
                  "shard " + std::to_string(s) + " verify failed: " + v.error);

@@ -53,7 +53,9 @@ struct CampaignOptions {
   bool isolate_crashes = true;
   /// Minimize a guilty/oracle-failing scenario before quarantining it.
   bool minimize = true;
-  /// Optional progress stream (one line per shard event).
+  /// Optional progress stream (one line per shard event; a "done" line
+  /// carries the shard's launch-to-reap wall ms, so a log shows load
+  /// imbalance across shards).
   std::ostream* log = nullptr;
 };
 

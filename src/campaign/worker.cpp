@@ -197,20 +197,16 @@ ResultRecord make_result_record(std::uint64_t index,
 
 ShardOutcome run_shard(const CampaignSpec& spec, int shard,
                        const fs::path& dir, const WorkerOptions& options) {
-  const ShardRange range = shard_range(spec, shard);
   const fs::path final_path = dir / shard_file_name(shard);
   const fs::path tmp_path = final_path.string() + ".tmp";
   const fs::path progress_path = dir / shard_progress_name(shard);
   const fs::path fail_path = dir / shard_fail_name(shard);
 
-  // The scenario indices this invocation actually runs.
-  std::vector<std::uint64_t> pending;
-  pending.reserve(range.size());
-  for (std::uint64_t i = range.begin; i < range.end; ++i) {
-    if (!std::binary_search(options.skip.begin(), options.skip.end(), i)) {
-      pending.push_back(i);
-    }
-  }
+  // The scenario indices this invocation actually runs, ascending.
+  std::vector<std::uint64_t> pending = shard_indices(spec, shard);
+  std::erase_if(pending, [&](std::uint64_t i) {
+    return std::binary_search(options.skip.begin(), options.skip.end(), i);
+  });
 
   ScopedSigterm sigterm_guard;
 

@@ -1,16 +1,17 @@
-// Campaign shard worker: run one contiguous scenario range, stream results
-// into a `ccdem-bin-v1` shard file.
+// Campaign shard worker: run the scenario indices one shard owns
+// (shard_indices, a diagonal deal across the matrix), stream results into
+// a `ccdem-bin-v1` shard file.
 //
 // A worker is a pure function of (spec, shard index) -- the coordinator
 // forks one process per in-flight shard and trusts nothing but the shard
-// file it leaves behind.  The worker runs its range in chunks through a
-// FleetRunner (one chunk = one fleet sweep), folds every result into the
-// shard's streaming Aggregates in scenario-index order, and finishes the
-// file with the merged counter snapshot, the encoded aggregate and the
-// checksummed end marker.  The file is written to a `.tmp` name and renamed
-// only after the end marker, so a crashed worker leaves either nothing or a
-// file that fails BinReader::complete() -- never a silently short result
-// set.
+// file it leaves behind.  The worker runs its indices in ascending order,
+// in chunks through a FleetRunner (one chunk = one fleet sweep), folds
+// every result into the shard's streaming Aggregates in that order, and
+// finishes the file with the merged counter snapshot, the encoded aggregate
+// and the checksummed end marker.  The file is written to a `.tmp` name and
+// renamed only after the end marker, so a crashed worker leaves either
+// nothing or a file that fails BinReader::complete() -- never a silently
+// short result set.
 //
 // Crash forensics: before each chunk the worker atomically rewrites a
 // `.progress` sidecar naming the in-flight scenario indices.  When a worker

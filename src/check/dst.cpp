@@ -95,6 +95,11 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
   const harness::ExperimentConfig cfg = s.experiment_config();
 
   const RunArtifacts culled = run_scenario_once(cfg, {true, true});
+  // The I4 and I8 arms compare content-rate and refresh traces only, never
+  // frame hashes, so they run unhashed and without spans.
+  RunOptions trace_only;
+  trace_only.spans = false;
+  trace_only.hash_frames = false;
 
   if (options.oracle_determinism) {
     const RunArtifacts again = run_scenario_once(cfg, {true, true});
@@ -225,8 +230,7 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
   if (options.quality_arm && quality_arm_applies(s)) {
     harness::ExperimentConfig base_cfg = cfg;
     base_cfg.mode = device::ControlMode::kBaseline60;
-    const RunArtifacts baseline =
-        run_scenario_once(base_cfg, {true, /*spans=*/false});
+    const RunArtifacts baseline = run_scenario_once(base_cfg, trace_only);
     const metrics::QualityReport q = metrics::compare_quality(
         baseline.result.content_rate, culled.result.content_rate);
     // A near-static run has too little content for the ratio to mean much.
@@ -255,7 +259,7 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
     clean.pressure_until_ms = 0;
     clean.pressure_classes = PressureClasses{};
     const RunArtifacts unpressured =
-        run_scenario_once(clean.experiment_config(), {true, /*spans=*/false});
+        run_scenario_once(clean.experiment_config(), trace_only);
     const sim::Time tail_start = *deadline;
     const metrics::QualityReport q = metrics::compare_quality(
         trace_tail(unpressured.result.content_rate, tail_start),

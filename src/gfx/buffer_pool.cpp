@@ -1,5 +1,6 @@
 #include "gfx/buffer_pool.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ccdem::gfx {
@@ -26,11 +27,15 @@ std::vector<Rgb888> BufferPool::take(std::size_t n) {
 
 std::vector<Rgb888> BufferPool::acquire(std::size_t n, Rgb888 fill) {
   std::vector<Rgb888> v = take(n);
-  // resize()'s value-initialisation is a memset; a non-black fill then
-  // overwrites at copy bandwidth.  assign(n, fill) looped per 3-byte pixel.
-  v.clear();
+  // Released buffers keep their size, so the elements they already hold
+  // are refilled in one fill_span pass (a memset for grey and black).
+  // resize() value-initialises only the grown tail -- Rgb888's member
+  // initialisers make that a per-pixel store loop, not a memset, and
+  // assign(n, fill) is a per-pixel loop too.  The tail is black already,
+  // so a black fill stops at the reused prefix.
+  const std::size_t kept = std::min(v.size(), n);
   v.resize(n);
-  if (!(fill == Rgb888{})) fill_span(v.data(), n, fill);
+  fill_span(v.data(), fill == Rgb888{} ? kept : n, fill);
   return v;
 }
 

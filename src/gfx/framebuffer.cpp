@@ -12,9 +12,11 @@ namespace ccdem::gfx {
 
 namespace {
 
-/// Sized fill at copy bandwidth (resize value-initialisation compiles to a
-/// memset; a non-black fill then overwrites via fill_span).  The element
-/// loop this replaces dominated device construction cost.
+/// Sized fill of fresh storage.  resize() value-initialises every pixel
+/// with a per-pixel store loop (Rgb888's member initialisers keep it from
+/// being a memset), which already leaves black; any other fill then
+/// overwrites at copy bandwidth via fill_span.  Pooled buffers skip the
+/// value-initialisation of reused storage (BufferPool::acquire).
 void fill_pixels(std::vector<Rgb888>& v, std::size_t n, Rgb888 fill) {
   v.clear();
   v.resize(n);

@@ -26,24 +26,28 @@ std::optional<Phase> phase_from_name(std::string_view name) {
 }
 
 SpanRecorder::SpanRecorder(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
+
+void SpanRecorder::append(const Span& span) {
+  if (ring_.capacity() < capacity_) ring_.reserve(capacity_);
+  ring_.push_back(span);
+}
 
 std::vector<Span> SpanRecorder::spans() const {
+  // Before the first wrap the ring holds exactly the recorded spans, oldest
+  // at 0; once full, the oldest sits at head_.
   std::vector<Span> out;
-  const std::uint64_t kept =
-      recorded_ < ring_.size() ? recorded_ : ring_.size();
-  out.reserve(static_cast<std::size_t>(kept));
-  // Oldest retained span sits at head_ once the ring has wrapped, at 0
-  // before that.
-  std::size_t pos = recorded_ < ring_.size() ? 0 : head_;
-  for (std::uint64_t i = 0; i < kept; ++i) {
-    out.push_back(ring_[pos]);
-    pos = pos + 1 == ring_.size() ? 0 : pos + 1;
-  }
+  out.reserve(ring_.size());
+  const std::size_t oldest = ring_.size() < capacity_ ? 0 : head_;
+  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(oldest),
+             ring_.end());
+  out.insert(out.end(), ring_.begin(),
+             ring_.begin() + static_cast<std::ptrdiff_t>(oldest));
   return out;
 }
 
 void SpanRecorder::clear() {
+  ring_.clear();  // keeps the reserved storage
   head_ = 0;
   recorded_ = 0;
 }

@@ -5,7 +5,10 @@
 // free-form integer argument (pixels composed, samples compared, target Hz).
 // Spans land in a fixed-capacity ring buffer: steady-state recording never
 // allocates, and a long run simply keeps the most recent window (dropped()
-// says how much history fell off the front).
+// says how much history fell off the front).  The ring's storage is
+// reserved on the first record() and filled as spans arrive, so a recorder
+// that never records -- a disabled one in a fleet or campaign worker --
+// costs no allocation and no initialisation of its capacity.
 //
 // Recording compiles out entirely when CCDEM_OBS_SPANS=0 (see obs/obs.h for
 // the call-site macro): record() becomes an empty inline and enabled() is a
@@ -71,8 +74,13 @@ class SpanRecorder {
   void record(Phase phase, sim::Time begin, sim::Duration dur,
               std::uint64_t frame, std::int64_t arg) {
     if (!enabled_) return;
-    ring_[head_] = Span{begin, dur, frame, arg, phase};
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    const Span span{begin, dur, frame, arg, phase};
+    if (ring_.size() < capacity_) {
+      append(span);  // first lap: the ring grows up to capacity_
+    } else {
+      ring_[head_] = span;
+    }
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     ++recorded_;
   }
 #else
@@ -85,14 +93,19 @@ class SpanRecorder {
   /// Spans ever recorded / spans that fell off the ring.
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
   [[nodiscard]] std::uint64_t dropped() const {
-    return recorded_ <= ring_.size() ? 0 : recorded_ - ring_.size();
+    return recorded_ <= capacity_ ? 0 : recorded_ - capacity_;
   }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   void clear();
 
  private:
-  std::vector<Span> ring_;
+  /// Pushes a span during the first lap, reserving the whole ring on the
+  /// first call.
+  void append(const Span& span);
+
+  std::size_t capacity_;
+  std::vector<Span> ring_;     // grows to capacity_, then wraps
   std::size_t head_ = 0;       // next write position
   std::uint64_t recorded_ = 0;
   bool enabled_ = true;

@@ -40,6 +40,32 @@ TEST(BufferPool, ReusedBufferIsFullyReinitialised) {
   for (const Rgb888& px : w) EXPECT_EQ(px, colors::kBlack);
 }
 
+TEST(BufferPool, ReusedBufferThatGrowsOrShrinksIsFullyRefilled) {
+  // Non-grey fills take fill_span's doubling-memcpy path, grey ones its
+  // memset; either way every pixel of the reused storage -- the part the
+  // buffer held before, the grown tail and nothing past n -- is the fill.
+  const Rgb888 fills[] = {Rgb888{7, 99, 201}, colors::kRed, colors::kGray,
+                          colors::kBlack};
+  const std::size_t sizes[] = {100, 37, 100, 250, 1, 250, 64};
+  for (const Rgb888 fill : fills) {
+    BufferPool pool(/*max_free=*/1);
+    std::vector<Rgb888> v = pool.acquire(sizes[0], colors::kWhite);
+    for (const std::size_t n : sizes) {
+      // Scribble over every pixel so a stale one would show.
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i] = Rgb888{static_cast<std::uint8_t>(i), 1, 2};
+      }
+      pool.release(std::move(v));
+      v = pool.acquire(n, fill);
+      ASSERT_EQ(v.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(v[i], fill) << "pixel " << i << " of " << n;
+      }
+    }
+    EXPECT_GT(pool.reuses(), 0u);
+  }
+}
+
 TEST(BufferPool, PrefersBufferWithSufficientCapacity) {
   BufferPool pool;
   auto small = pool.acquire(4, colors::kBlack);

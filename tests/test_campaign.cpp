@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <variant>
 
 #include "campaign/aggregates.h"
@@ -154,19 +157,85 @@ TEST(CampaignSpec, PressureAxisRoundTripsAndExpandsTheMatrix) {
   EXPECT_TRUE(spec.validate().has_value());
 }
 
-TEST(CampaignSpec, ShardRangesPartitionTheMatrix) {
-  CampaignSpec spec = tiny_spec();
-  spec.seeds = {1, 2, 3, 4, 5, 6, 7};  // 14 scenarios over 3 shards
-  std::uint64_t covered = 0;
-  std::uint64_t prev_end = 0;
-  for (int s = 0; s < spec.shards; ++s) {
-    const ShardRange r = shard_range(spec, s);
-    EXPECT_EQ(r.begin, prev_end);
-    prev_end = r.end;
-    covered += r.size();
+/// True when `indices` is one run of consecutive matrix indices.
+bool contiguous(const std::vector<std::uint64_t>& indices) {
+  for (std::size_t k = 1; k < indices.size(); ++k) {
+    if (indices[k] != indices[k - 1] + 1) return false;
   }
-  EXPECT_EQ(prev_end, spec.size());
-  EXPECT_EQ(covered, spec.size());
+  return true;
+}
+
+TEST(CampaignSpec, ShardDealPartitionsTheMatrixEvenly) {
+  struct Shape {
+    std::size_t apps, seeds;
+    int shards;
+  };
+  // seeds != shards (both ways), shards > scenarios, a single shard, and
+  // sizes that leave a partial last row.
+  const Shape shapes[] = {{1, 7, 3},  {4, 4, 4}, {4, 3, 4}, {2, 5, 3},
+                          {1, 2, 9},  {3, 1, 1}, {2, 6, 4}, {3, 7, 5}};
+  const std::vector<std::string> apps = {"Facebook", "Auction", "MX Player",
+                                         "Jelly Splash"};
+  for (const Shape& shape : shapes) {
+    CampaignSpec spec = tiny_spec();
+    spec.apps.assign(apps.begin(),
+                     apps.begin() + static_cast<std::ptrdiff_t>(shape.apps));
+    spec.seeds.clear();
+    for (std::uint64_t k = 1; k <= shape.seeds; ++k) spec.seeds.push_back(k);
+    spec.shards = shape.shards;
+    ASSERT_FALSE(spec.validate().has_value());
+    SCOPED_TRACE(std::to_string(spec.size()) + " scenarios over " +
+                 std::to_string(spec.shards) + " shards");
+
+    std::vector<int> owner(spec.size(), -1);
+    std::uint64_t smallest = spec.size(), largest = 0;
+    for (int s = 0; s < spec.shards; ++s) {
+      const std::vector<std::uint64_t> mine = shard_indices(spec, s);
+      EXPECT_TRUE(std::is_sorted(mine.begin(), mine.end()));
+      for (const std::uint64_t i : mine) {
+        ASSERT_LT(i, spec.size());
+        EXPECT_EQ(owner[i], -1) << "index " << i << " dealt twice";
+        owner[i] = s;
+        EXPECT_EQ(shard_of(i, spec.shards), s);
+      }
+      smallest = std::min<std::uint64_t>(smallest, mine.size());
+      largest = std::max<std::uint64_t>(largest, mine.size());
+    }
+    for (std::uint64_t i = 0; i < spec.size(); ++i) {
+      EXPECT_NE(owner[i], -1) << "index " << i << " dealt to no shard";
+    }
+    EXPECT_LE(largest - smallest, 1u);
+  }
+}
+
+TEST(CampaignSpec, ShardDealGivesEveryShardEveryAppAndSeed) {
+  // The benchmark's A/B matrix shape, and one whose seed count is not the
+  // shard count.  A contiguous split would hand each shard one app, and
+  // round-robin would hand each shard one seed.
+  for (const std::size_t seeds : {4u, 3u}) {
+    CampaignSpec spec = tiny_spec();
+    spec.apps = {"Facebook", "Auction", "MX Player", "Jelly Splash"};
+    spec.seeds.clear();
+    for (std::uint64_t k = 1; k <= seeds; ++k) spec.seeds.push_back(k);
+    spec.shards = 4;
+    SCOPED_TRACE(std::to_string(seeds) + " seeds");
+    for (int s = 0; s < spec.shards; ++s) {
+      std::set<std::string> shard_apps;
+      std::set<std::uint64_t> shard_seeds;
+      const std::vector<std::uint64_t> mine = shard_indices(spec, s);
+      for (const std::uint64_t i : mine) {
+        const check::Scenario sc = spec.scenario_at(i);
+        shard_apps.insert(sc.app);
+        shard_seeds.insert(sc.seed);
+      }
+      EXPECT_EQ(shard_apps.size(), spec.apps.size()) << "shard " << s;
+      // With as many seeds as shards, every seed is in every shard too.
+      if (seeds == 4) {
+        EXPECT_EQ(shard_seeds.size(), spec.seeds.size()) << "shard " << s;
+      }
+      EXPECT_FALSE(contiguous(mine)) << "shard " << s;
+    }
+  }
 }
 
 TEST(CampaignSpec, FingerprintTracksTheMatrix) {
@@ -196,9 +265,12 @@ TEST(Manifest, RoundTripsThroughText) {
   EXPECT_FALSE(m.all_done());
   EXPECT_TRUE(m.is_quarantined(4));
   EXPECT_FALSE(m.is_quarantined(3));
-  const auto in_range = m.quarantined_in(ShardRange{4, 6});
-  ASSERT_EQ(in_range.size(), 1u);
-  EXPECT_EQ(in_range[0], 4u);
+  m.quarantined.push_back(Manifest::Quarantine{1, "crashed (signal 9)"});
+  // tiny_spec deals {0, 5}, {1, 3}, {2, 4} to its three shards.
+  ASSERT_EQ(shard_of(4, m.shards), 2);
+  EXPECT_EQ(m.quarantined_in(2), std::vector<std::uint64_t>{4});
+  EXPECT_EQ(m.quarantined_in(1), std::vector<std::uint64_t>{1});
+  EXPECT_TRUE(m.quarantined_in(0).empty());
 }
 
 TEST(Manifest, EmbeddedSpecSurvives) {
@@ -282,8 +354,8 @@ TEST(Worker, WritesAVerifiableShardFile) {
   w.threads = 2;
   const ShardOutcome out = run_shard(spec, 0, tmp.path(), w);
   ASSERT_TRUE(out.ok) << out.error;
-  const ShardRange range = shard_range(spec, 0);
-  EXPECT_EQ(out.results, range.size());
+  const std::vector<std::uint64_t> indices = shard_indices(spec, 0);
+  EXPECT_EQ(out.results, indices.size());
 
   const std::string bytes = read_file(tmp.file(shard_file_name(0)));
   EXPECT_EQ(bytes.size(), out.bytes);
@@ -292,13 +364,14 @@ TEST(Worker, WritesAVerifiableShardFile) {
   ASSERT_TRUE(records.has_value()) << error;
 
   // Recompute the aggregate from the records; it must equal the embedded one.
+  // The records are exactly the shard's indices, in ascending order.
   Aggregates recomputed;
   std::optional<Aggregates> embedded;
+  std::vector<std::uint64_t> seen;
   for (const Record& r : *records) {
     if (const auto* res = std::get_if<ResultRecord>(&r)) {
       recomputed.add(*res);
-      EXPECT_GE(res->scenario_index, range.begin);
-      EXPECT_LT(res->scenario_index, range.end);
+      seen.push_back(res->scenario_index);
       EXPECT_GT(res->mean_power_mw, 0.0);
       EXPECT_FALSE(res->residency.empty());
     } else if (const auto* c = std::get_if<CountersRecord>(&r)) {
@@ -310,6 +383,7 @@ TEST(Worker, WritesAVerifiableShardFile) {
   }
   ASSERT_TRUE(embedded.has_value());
   EXPECT_EQ(*embedded, recomputed);
+  EXPECT_EQ(seen, indices);
   // The progress sidecar is cleaned up on success.
   EXPECT_FALSE(std::filesystem::exists(tmp.file(shard_progress_name(0))));
 }
@@ -318,22 +392,23 @@ TEST(Worker, SkipsQuarantinedIndices) {
   testing::TempDir tmp;
   ASSERT_TRUE(tmp.ok());
   const CampaignSpec spec = tiny_spec();
-  const ShardRange range = shard_range(spec, 0);
-  ASSERT_GE(range.size(), 2u);
+  const std::vector<std::uint64_t> indices = shard_indices(spec, 0);
+  ASSERT_GE(indices.size(), 2u);
   WorkerOptions w;
   w.threads = 1;
-  w.skip = {range.begin};
+  w.skip = {indices.back()};
   const ShardOutcome out = run_shard(spec, 0, tmp.path(), w);
   ASSERT_TRUE(out.ok) << out.error;
-  EXPECT_EQ(out.results, range.size() - 1);
+  EXPECT_EQ(out.results, indices.size() - 1);
 }
 
 TEST(Worker, SigtermDrainsGracefullyAndLeavesAResumableShard) {
   testing::TempDir tmp;
   ASSERT_TRUE(tmp.ok());
   const CampaignSpec spec = tiny_spec();
-  const ShardRange range = shard_range(spec, 0);
-  ASSERT_GE(range.size(), 2u);
+  const std::vector<std::uint64_t> indices = shard_indices(spec, 0);
+  ASSERT_GE(indices.size(), 2u);
+  ASSERT_FALSE(contiguous(indices));
 
   // SIGTERM arrives while the first scenario is in flight (run_shard runs
   // in-process here, so the raise hits its own ScopedSigterm handler).
@@ -341,7 +416,7 @@ TEST(Worker, SigtermDrainsGracefullyAndLeavesAResumableShard) {
   w.threads = 1;
   w.chunk = 1;
   w.run_hook = [&](std::uint64_t index) {
-    if (index == range.begin) std::raise(SIGTERM);
+    if (index == indices.front()) std::raise(SIGTERM);
   };
   const ShardOutcome out = run_shard(spec, 0, tmp.path(), w);
   ASSERT_TRUE(out.ok) << out.error;
@@ -361,10 +436,8 @@ TEST(Worker, SigtermDrainsGracefullyAndLeavesAResumableShard) {
   const auto remaining =
       parse_progress(read_file(tmp.file(shard_progress_name(0))));
   ASSERT_TRUE(remaining.has_value());
-  std::vector<std::uint64_t> expected;
-  for (std::uint64_t i = range.begin + 1; i < range.end; ++i) {
-    expected.push_back(i);
-  }
+  const std::vector<std::uint64_t> expected(indices.begin() + 1,
+                                            indices.end());
   EXPECT_EQ(*remaining, expected);
 
   // A relaunch starts clean (the handler and flag were restored on return)
@@ -372,7 +445,7 @@ TEST(Worker, SigtermDrainsGracefullyAndLeavesAResumableShard) {
   const ShardOutcome again = run_shard(spec, 0, tmp.path(), {});
   ASSERT_TRUE(again.ok) << again.error;
   EXPECT_FALSE(again.interrupted);
-  EXPECT_EQ(again.results, range.size());
+  EXPECT_EQ(again.results, indices.size());
   EXPECT_TRUE(std::filesystem::exists(tmp.file(shard_file_name(0))));
 }
 
@@ -385,9 +458,20 @@ TEST(Campaign, RunsToCompletionAndWritesArtifacts) {
   CampaignOptions opts;
   opts.workers = 2;
   opts.worker.threads = 1;
+  std::ostringstream log;
+  opts.log = &log;
   const CampaignResult result = run_campaign(spec, tmp.path(), opts);
   ASSERT_TRUE(result.complete) << result.error;
   EXPECT_EQ(result.runs, spec.size());
+  // Every shard's "done" line carries its wall time.
+  for (int s = 0; s < spec.shards; ++s) {
+    const std::string done = "shard " + std::to_string(s) + " done (";
+    const std::size_t at = log.str().find(done);
+    ASSERT_NE(at, std::string::npos) << log.str();
+    const std::string line =
+        log.str().substr(at, log.str().find('\n', at) - at);
+    EXPECT_NE(line.find(" ms)"), std::string::npos) << line;
+  }
   EXPECT_TRUE(result.quarantined.empty());
   EXPECT_EQ(result.aggregates.runs, spec.size());
   EXPECT_GT(result.aggregates.power.mean(), 0.0);
@@ -422,6 +506,8 @@ TEST(Campaign, KilledWorkerResumesByteIdentically) {
   testing::TempDir killed_dir, clean_dir;
   ASSERT_TRUE(killed_dir.ok() && clean_dir.ok());
   const CampaignSpec spec = tiny_spec();
+  // The killed shard's indices are not one contiguous range.
+  ASSERT_FALSE(contiguous(shard_indices(spec, 1)));
 
   // Arm 1: kill shard 1's worker after its first result, no retries -- the
   // campaign must come back incomplete with shard 1 pending.
@@ -461,6 +547,38 @@ TEST(Campaign, KilledWorkerResumesByteIdentically) {
             read_file(clean_dir.file(aggregates_file_name())));
   EXPECT_EQ(read_file(killed_dir.file(summary_file_name())),
             read_file(clean_dir.file(summary_file_name())));
+  EXPECT_EQ(read_file(killed_dir.file(shard_file_name(1))),
+            read_file(clean_dir.file(shard_file_name(1))));
+}
+
+TEST(Campaign, ResumeRefusesAContiguousShardManifest) {
+  // A v1 manifest checkpointed contiguous shard ranges: its done shard
+  // files hold other indices than the same shard numbers are dealt now, so
+  // resuming it would merge the wrong runs.
+  testing::TempDir tmp;
+  ASSERT_TRUE(tmp.ok());
+  const CampaignSpec spec = tiny_spec();
+  Manifest m = Manifest::fresh(spec);
+  m.shard_rows[0].done = true;
+  m.shard_rows[0].file = shard_file_name(0);
+  std::string text = m.to_string();
+  const std::string v2 = "ccdem-campaign-manifest-v2";
+  const std::size_t at = text.find(v2);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, v2.size(), "ccdem-campaign-manifest-v1");
+  ASSERT_TRUE(save_file_atomic(tmp.file(manifest_file_name()), text));
+
+  CampaignOptions opts;
+  opts.resume = true;
+  const CampaignResult result = run_campaign(spec, tmp.path(), opts);
+  EXPECT_FALSE(result.complete);
+  EXPECT_NE(result.error.find("contiguous shard ranges"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.find("fresh directory"), std::string::npos)
+      << result.error;
+  // Nothing ran and the old checkpoint was left as it was.
+  EXPECT_EQ(read_file(tmp.file(manifest_file_name())), text);
+  EXPECT_FALSE(std::filesystem::exists(tmp.file(aggregates_file_name())));
 }
 
 TEST(Campaign, ResumeRefusesADifferentMatrix) {
@@ -484,7 +602,10 @@ TEST(Campaign, CrashingScenarioIsQuarantinedWithARepro) {
   CampaignSpec spec = tiny_spec();
   spec.seeds = {1, 2};  // 4 scenarios over 2 shards
   spec.shards = 2;
-  const std::uint64_t guilty = 2;
+  const std::uint64_t guilty = 3;
+  // The guilty scenario's shard is {0, 3}: not one contiguous range.
+  ASSERT_EQ(shard_indices(spec, shard_of(guilty, spec.shards)),
+            (std::vector<std::uint64_t>{0, 3}));
 
   CampaignOptions opts;
   opts.workers = 1;

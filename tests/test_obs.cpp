@@ -2,6 +2,7 @@
 // span ring buffer, and the two trace exporters (Chrome JSON + CSV).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -181,6 +182,48 @@ TEST(SpanRecorder, ClearResetsRingAndCounts) {
   rec.record(Phase::kPanelPresent, sim::Time{42}, sim::Duration{}, 0, 0);
   ASSERT_EQ(rec.spans().size(), 1u);
   EXPECT_EQ(rec.spans()[0].begin.ticks, 42);
+}
+
+TEST(SpanRecorder, LazyRingKeepsCapacityDroppedAndWrapOrder) {
+  // The ring's storage arrives with the first record(); nothing observable
+  // may depend on that.
+  const SpanRecorder untouched;
+  EXPECT_EQ(untouched.capacity(), SpanRecorder::kDefaultCapacity);
+  EXPECT_EQ(untouched.recorded(), 0u);
+  EXPECT_EQ(untouched.dropped(), 0u);
+  EXPECT_TRUE(untouched.spans().empty());
+  EXPECT_EQ(SpanRecorder(0).capacity(), 1u);
+  if (!SpanRecorder::compiled_in()) GTEST_SKIP() << "spans compiled out";
+
+  constexpr std::size_t kCap = 5;
+  // Below, at, one past and several laps past capacity.
+  for (const std::int64_t n : {3, 5, 6, 17}) {
+    SpanRecorder rec(kCap);
+    for (std::int64_t i = 0; i < n; ++i) {
+      rec.record(Phase::kCompose, sim::Time{i}, sim::Duration{}, 0, i);
+    }
+    EXPECT_EQ(rec.capacity(), kCap);
+    const auto count = static_cast<std::uint64_t>(n);
+    EXPECT_EQ(rec.dropped(), count > kCap ? count - kCap : 0u);
+    const std::vector<Span> spans = rec.spans();
+    ASSERT_EQ(spans.size(), std::min<std::size_t>(count, kCap));
+    const std::int64_t first = n - static_cast<std::int64_t>(spans.size());
+    for (std::size_t k = 0; k < spans.size(); ++k) {
+      EXPECT_EQ(spans[k].arg, first + static_cast<std::int64_t>(k));
+    }
+
+    // clear() mid-lap or after wrapping restarts the first lap cleanly.
+    rec.clear();
+    for (std::int64_t i = 0; i < 7; ++i) {
+      rec.record(Phase::kMeter, sim::Time{i}, sim::Duration{}, 0, 100 + i);
+    }
+    const std::vector<Span> again = rec.spans();
+    ASSERT_EQ(again.size(), kCap);
+    EXPECT_EQ(rec.dropped(), 2u);
+    for (std::size_t k = 0; k < kCap; ++k) {
+      EXPECT_EQ(again[k].arg, 102 + static_cast<std::int64_t>(k));
+    }
+  }
 }
 
 // --- exporters --------------------------------------------------------------
