@@ -34,13 +34,19 @@ class SimulatedDevice::ComposerHook final : public display::VsyncObserver {
   std::uint64_t* ctr_vsyncs_ = nullptr;
 };
 
-/// Charges the input pipeline's CPU cost per touch event.
+/// Charges the input pipeline's CPU cost per touch event, at delivery time:
+/// a late (fault-delayed) event keeps its original timestamp, and charging
+/// at that stale time would integrate the power model backwards.
 class SimulatedDevice::TouchPowerHook final : public input::TouchListener {
  public:
-  explicit TouchPowerHook(power::DevicePowerModel& power) : power_(power) {}
-  void on_touch(const input::TouchEvent& e) override { power_.on_touch(e.t); }
+  TouchPowerHook(sim::Simulator& sim, power::DevicePowerModel& power)
+      : sim_(sim), power_(power) {}
+  void on_touch(const input::TouchEvent&) override {
+    power_.on_touch(sim_.now());
+  }
 
  private:
+  sim::Simulator& sim_;
   power::DevicePowerModel& power_;
 };
 
@@ -128,7 +134,7 @@ void SimulatedDevice::configure(const DeviceConfig& config) {
   panel_->add_observer(display::VsyncPhase::kComposer, composer_.get());
 
   dispatcher_ = std::make_unique<input::InputDispatcher>(*sim_);
-  touch_power_ = std::make_unique<TouchPowerHook>(*power_);
+  touch_power_ = std::make_unique<TouchPowerHook>(*sim_, *power_);
 
   if (!config_.fault.empty()) {
     // The injector forks its own RNG stream, so adding faults to a run

@@ -19,6 +19,12 @@
 // that hashes bit-identically on every platform and kernel variant.  The
 // splitmix64 finalizer folds the lanes (and seeds them) so the weaker
 // per-lane mix never reaches a consumer unfinalized.
+//
+// Because the bulk loop consumes whole 32-byte blocks in order, the lane
+// state after any 32-byte-aligned prefix depends on that prefix alone.
+// ResumableHash exposes that state, so a caller that kept it can rehash
+// only a changed suffix and still get hash_bytes' value bit-for-bit (the
+// DST frame-stream hasher resumes past each frame's unchanged rows).
 #pragma once
 
 #include <cstddef>
@@ -99,6 +105,29 @@ inline constexpr std::uint64_t kHashSeed = 0x9E3779B97F4A7C15ull;
   lanes.bulk(static_cast<const unsigned char*>(data), n);
   return lanes.fold(h);
 }
+
+/// hash_bytes in resumable form: feed the bytes in pieces, copy the object
+/// to checkpoint the lane state between them, and digest() at the end.
+/// Every piece but the last must be a whole number of kBlock bytes, so the
+/// pieces land in the same lanes as one hash_bytes call over all of them.
+class ResumableHash {
+ public:
+  static constexpr std::size_t kBlock = 32;
+
+  ResumableHash() : ResumableHash(kHashSeed) {}
+  explicit ResumableHash(std::uint64_t seed) : seed_(seed), lanes_(seed) {}
+
+  void feed(const void* data, std::size_t n) {
+    lanes_.bulk(static_cast<const unsigned char*>(data), n);
+  }
+
+  /// hash_bytes(<every byte fed, in order>, seed).
+  [[nodiscard]] std::uint64_t digest() const { return lanes_.fold(seed_); }
+
+ private:
+  std::uint64_t seed_;
+  hash_detail::Lanes lanes_;
+};
 
 /// Folds one u64 into the running state -- for combining per-tile or
 /// per-frame hashes into a stream fingerprint.

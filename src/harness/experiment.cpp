@@ -1,7 +1,9 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "device/simulated_device.h"
 
@@ -28,23 +30,44 @@ device::DeviceConfig ExperimentConfig::device_config() const {
   return dc;
 }
 
-namespace {
-
-/// Folds a full-buffer fingerprint per composed frame (see
-/// ExperimentConfig::hash_frames).  Purely observational: reads the front
-/// buffer, touches nothing.
-class FrameStreamHasher : public gfx::FrameListener {
- public:
-  void on_frame(const gfx::FrameInfo&, const gfx::Framebuffer& fb) override {
-    hash_ = gfx::hash_combine(hash_, fb.fast_hash());
+void FrameStreamHasher::on_frame(const gfx::FrameInfo& info,
+                                 const gfx::Framebuffer& fb) {
+  const std::span<const gfx::Rgb888> pixels = fb.pixels();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(pixels.data());
+  const std::size_t n = pixels.size_bytes();
+  if (count_ == 0 || fb.size() != size_) {
+    // Lay the checkpoints out evenly over the buffer's whole blocks.
+    constexpr std::size_t kBlock = gfx::ResumableHash::kBlock;
+    const std::size_t blocks = n / kBlock;
+    const std::size_t step_blocks =
+        std::max<std::size_t>(1, (blocks + kCheckpoints - 1) / kCheckpoints);
+    size_ = fb.size();
+    row_bytes_ = static_cast<std::size_t>(fb.width()) * sizeof(gfx::Rgb888);
+    step_ = step_blocks * kBlock;
+    count_ = std::max<std::size_t>(1, (blocks + step_blocks - 1) / step_blocks);
+    rehash(bytes, n, 0);  // checkpoint 0 is the fresh state, never rewritten
+  } else if (!info.damage.empty()) {
+    const gfx::Rect damaged = info.damage.bounds();
+    assert(damaged.y >= 0);
+    const std::size_t first = static_cast<std::size_t>(damaged.y) * row_bytes_;
+    rehash(bytes, n, std::min(first / step_, count_ - 1));
   }
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+  assert(digest_ == fb.fast_hash());
+  hash_ = gfx::hash_combine(hash_, digest_);
+}
 
- private:
-  std::uint64_t hash_ = gfx::kHashSeed;
-};
-
-}  // namespace
+void FrameStreamHasher::rehash(const unsigned char* bytes, std::size_t n,
+                               std::size_t from) {
+  gfx::ResumableHash h = checkpoints_[from];
+  for (std::size_t i = from + 1; i < count_; ++i) {
+    h.feed(bytes + (i - 1) * step_, step_);
+    checkpoints_[i] = h;
+  }
+  const std::size_t last = (count_ - 1) * step_;
+  h.feed(bytes + last, n - last);
+  digest_ = h.digest();
+  bytes_hashed_ += n - from * step_;
+}
 
 ExperimentResult run_experiment_on(device::SimulatedDevice& dev,
                                    const ExperimentConfig& config) {

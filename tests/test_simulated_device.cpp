@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/app_profiles.h"
+#include "fault/fault_injector.h"
 #include "harness/experiment.h"
 
 namespace ccdem::device {
@@ -142,6 +143,66 @@ TEST(SimulatedDevice, BufferPoolRecyclesAcrossConfigures) {
   // out of the pool the first run released into.
   EXPECT_GT(dev.buffer_pool()->reuses(), after_first);
   EXPECT_GT(dev.buffer_pool()->reuses(), 0u);
+}
+
+/// Fails the test if any energy component ever shrinks between two touch
+/// deliveries or frames.
+class EnergyWatch final : public input::TouchListener,
+                          public gfx::FrameListener {
+ public:
+  explicit EnergyWatch(const power::DevicePowerModel& power)
+      : power_(power) {}
+  void on_touch(const input::TouchEvent&) override { check(); }
+  void on_frame(const gfx::FrameInfo&, const gfx::Framebuffer&) override {
+    check();
+  }
+  [[nodiscard]] int checks() const { return checks_; }
+
+ private:
+  void check() {
+    using B = power::EnergyBreakdown;
+    static constexpr double B::*kParts[] = {
+        &B::soc_base_mj,    &B::panel_static_mj, &B::refresh_mj,
+        &B::link_mj,        &B::auxiliary_mj,    &B::composition_mj,
+        &B::render_mj,      &B::touch_mj,        &B::meter_mj,
+        &B::rate_switch_mj, &B::other_mj};
+    const B& now = power_.breakdown();
+    for (double B::*part : kParts) EXPECT_GE(now.*part, last_.*part);
+    last_ = now;
+    ++checks_;
+  }
+
+  const power::DevicePowerModel& power_;
+  power::EnergyBreakdown last_;
+  int checks_ = 0;
+};
+
+// A fault-delayed touch is redelivered late with its original timestamp.
+// Its input-pipeline charge lands at delivery time; charging at the stale
+// timestamp integrated the power model backwards (an assert in Debug
+// builds, shrinking energy components in Release).
+TEST(SimulatedDevice, DelayedTouchesNeverRewindEnergy) {
+  SimulatedDevice dev;
+  DeviceConfig dc;
+  dc.mode = ControlMode::kSectionWithBoost;
+  dc.seed = 7;
+  dc.fault.touch_delay_p = 1.0;
+  dev.configure(dc);
+  const apps::AppSpec app = apps::app_by_name("Jelly Splash");
+  dev.install_app(app);
+  dev.start_control();
+  EnergyWatch watch(dev.power());
+  dev.dispatcher().add_listener(&watch);
+  dev.add_frame_listener(&watch);
+  dev.schedule_monkey_script(app.monkey, sim::seconds(10));
+  dev.run_until(sim::Time{sim::seconds(10).ticks});
+  dev.finish();
+
+  ASSERT_NE(dev.fault(), nullptr);
+  EXPECT_GT(dev.fault()->touch_delayed(), 0u);
+  EXPECT_GT(dev.dispatcher().events_delivered(), 0u);
+  EXPECT_GT(dev.power().breakdown().touch_mj, 0.0);
+  EXPECT_GT(watch.checks(), 0);
 }
 
 TEST(SimulatedDevice, NoPoolByDefault) {
