@@ -1,301 +1,183 @@
 #include "apps/scene_dsl.h"
 
-#include <cassert>
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <sstream>
+#include <type_traits>
 #include <vector>
+
+#include "sim/kv_text.h"
 
 namespace ccdem::apps {
 
 namespace {
 
-constexpr const char* kSchema = "ccdem-scene-v1";
+using F = sim::kv::Field<SceneSpec>;
+using sim::kv::parse_as;
+
 constexpr int kMaxStates = 16;
 constexpr std::int64_t kMaxMs = 600'000;
 constexpr double kMaxFps = 240.0;
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
+/// Indexed by UiState::Kind.
+constexpr const char* kKinds[] = {"idle",  "menu",    "scroll",
+                                  "slide", "marquee", "dialog"};
 
-// Strict numeric parsing, same rules as the Scenario format: the whole
-// value must be consumed, doubles must be finite.
-std::optional<long long> parse_int_strict(const std::string& v) {
-  long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
-}
-
-std::optional<double> parse_double_strict(const std::string& v) {
-  double out = 0.0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  if (!std::isfinite(out)) return std::nullopt;
-  return out;
-}
-
-/// Shortest round-trip decimal (std::to_chars default).
-std::string double_to_string(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  assert(ec == std::errc{});
-  return std::string(buf, ptr);
-}
-
-const char* kind_to_string(UiState::Kind k) {
-  switch (k) {
-    case UiState::Kind::kIdle: return "idle";
-    case UiState::Kind::kMenu: return "menu";
-    case UiState::Kind::kScroll: return "scroll";
-    case UiState::Kind::kSlide: return "slide";
-    case UiState::Kind::kMarquee: return "marquee";
-    case UiState::Kind::kDialog: return "dialog";
-  }
-  return "idle";
-}
-
-std::optional<UiState::Kind> parse_kind(const std::string& v) {
-  if (v == "idle") return UiState::Kind::kIdle;
-  if (v == "menu") return UiState::Kind::kMenu;
-  if (v == "scroll") return UiState::Kind::kScroll;
-  if (v == "slide") return UiState::Kind::kSlide;
-  if (v == "marquee") return UiState::Kind::kMarquee;
-  if (v == "dialog") return UiState::Kind::kDialog;
-  return std::nullopt;
+/// One `name=value` state attribute: in [lo, hi] and not seen before.
+template <class V>
+bool attribute(std::string_view v, std::type_identity_t<V> lo,
+               std::type_identity_t<V> hi, V& out, bool& seen) {
+  const auto x = parse_as<V>(v);
+  if (!x || *x < lo || *x > hi || seen) return false;
+  out = *x;
+  return seen = true;
 }
 
 /// Parses one `state =` value: `<kind> dwell_ms=<ms> fps=<f> next=<i>
 /// touch=<i>`, all four attributes required, any order, no duplicates.
-std::optional<UiState> parse_state(const std::string& v, std::string* error) {
-  std::vector<std::string> tokens;
-  std::size_t pos = 0;
-  while (pos < v.size()) {
-    const auto sp = v.find(' ', pos);
-    const std::string tok =
-        v.substr(pos, sp == std::string::npos ? std::string::npos : sp - pos);
-    if (!tok.empty()) tokens.push_back(tok);
-    if (sp == std::string::npos) break;
+bool parse_state(std::string_view v, UiState& st, std::string& why) {
+  const auto bad = [&why](std::string msg) {
+    why = std::move(msg);
+    return false;
+  };
+  std::vector<std::string_view> tokens;
+  for (std::size_t pos = 0; pos < v.size();) {
+    const auto sp = std::min(v.find(' ', pos), v.size());
+    if (sp > pos) tokens.push_back(v.substr(pos, sp - pos));
     pos = sp + 1;
   }
-  if (tokens.empty()) {
-    if (error) *error = "empty state line";
-    return std::nullopt;
-  }
-  UiState st;
-  const auto kind = parse_kind(tokens[0]);
-  if (!kind) {
-    if (error) *error = "unknown state kind: " + tokens[0];
-    return std::nullopt;
-  }
-  st.kind = *kind;
-  bool have_dwell = false, have_fps = false, have_next = false,
-       have_touch = false;
+  if (tokens.empty()) return bad("empty state line");
+  int kind = 0;
+  while (kind < 6 && tokens[0] != kKinds[kind]) ++kind;
+  if (kind == 6) return bad("unknown state kind: " + std::string(tokens[0]));
+  st.kind = static_cast<UiState::Kind>(kind);
+  bool have[4] = {};
   for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const auto eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      if (error) *error = "bad state attribute: " + tokens[i];
-      return std::nullopt;
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string val = tokens[i].substr(eq + 1);
+    const std::string token(tokens[i]);
+    const auto eq = token.find('=');
+    if (eq == std::string::npos) return bad("bad state attribute: " + token);
+    const std::string key = token.substr(0, eq);
+    const std::string_view val = tokens[i].substr(eq + 1);
+    bool ok = false;
     if (key == "dwell_ms") {
-      const auto ms = parse_int_strict(val);
-      if (!ms || *ms < 0 || *ms > kMaxMs || have_dwell) return std::nullopt;
-      st.dwell_ms = *ms;
-      have_dwell = true;
+      ok = attribute(val, 0, kMaxMs, st.dwell_ms, have[0]);
     } else if (key == "fps") {
-      const auto fps = parse_double_strict(val);
-      if (!fps || *fps < 0.0 || *fps > kMaxFps || have_fps)
-        return std::nullopt;
-      st.anim_fps = *fps;
-      have_fps = true;
+      ok = attribute(val, 0.0, kMaxFps, st.anim_fps, have[1]);
     } else if (key == "next") {
-      const auto n = parse_int_strict(val);
-      if (!n || *n < 0 || *n >= kMaxStates || have_next) return std::nullopt;
-      st.next = static_cast<int>(*n);
-      have_next = true;
+      ok = attribute(val, 0, kMaxStates - 1, st.next, have[2]);
     } else if (key == "touch") {
-      const auto n = parse_int_strict(val);
-      if (!n || *n < -1 || *n >= kMaxStates || have_touch)
-        return std::nullopt;
-      st.touch_next = static_cast<int>(*n);
-      have_touch = true;
+      ok = attribute(val, -1, kMaxStates - 1, st.touch_next, have[3]);
     } else {
-      if (error) *error = "unknown state attribute: " + key;
-      return std::nullopt;
+      return bad("unknown state attribute: " + key);
     }
+    if (!ok) return bad("bad state attribute: " + token);
   }
-  if (!have_dwell || !have_fps || !have_next || !have_touch) {
-    if (error) *error = "state line missing an attribute";
-    return std::nullopt;
+  if (!(have[0] && have[1] && have[2] && have[3])) {
+    return bad("state line missing an attribute");
   }
-  return st;
+  return true;
 }
 
-std::optional<std::vector<int>> parse_motion(const std::string& v) {
-  std::vector<int> motion;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
-    const auto level = parse_int_strict(item);
-    if (!level || *level < 0 || *level > 3) return std::nullopt;
-    motion.push_back(static_cast<int>(*level));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (motion.empty() || motion.size() > 16) return std::nullopt;
-  return motion;
+bool is_ui(const SceneSpec& s) { return s.type == SceneSpec::Type::kUi; }
+bool is_burst(const SceneSpec& s) {
+  return s.type == SceneSpec::Type::kBurstVideo;
+}
+
+const std::vector<F>& fields() {
+  static const std::vector<F> kFields = {
+      F::schema("ccdem-scene-v1"),
+      {"type",
+       [](SceneSpec& s, std::string_view v, std::string&) {
+         if (v == "ui") s.type = SceneSpec::Type::kUi;
+         if (v == "burst_video") s.type = SceneSpec::Type::kBurstVideo;
+         return v == "ui" || v == "burst_video";
+       },
+       [](const SceneSpec& s) {
+         return std::string(is_ui(s) ? "ui" : "burst_video");
+       },
+       nullptr, sim::kv::Kind::kRequired},
+      F::num(
+          "idle_timeout_ms",
+          [](auto& s) -> auto& { return s.ui.idle_timeout_ms; }, 0, kMaxMs,
+          is_ui),
+      F::num(
+          "marquee_px", [](auto& s) -> auto& { return s.ui.marquee_px; }, 1,
+          64, is_ui),
+      // Ordered: state 0 is the initial state.
+      {"state",
+       [](SceneSpec& s, std::string_view v, std::string& why) {
+         UiState st;
+         if (s.ui.states.size() >= kMaxStates) {
+           why = "too many states";
+           return false;
+         }
+         if (!parse_state(v, st, why)) return false;
+         s.ui.states.push_back(st);
+         return true;
+       },
+       [](const SceneSpec& s) {
+         std::ostringstream os;
+         for (const UiState& st : s.ui.states) {
+           os << kKinds[static_cast<int>(st.kind)]
+              << " dwell_ms=" << st.dwell_ms
+              << " fps=" << sim::kv::to_text(st.anim_fps)
+              << " next=" << st.next << " touch=" << st.touch_next << "\n";
+         }
+         return os.str();
+       },
+       is_ui, sim::kv::Kind::kRepeatable},
+      F::num(
+          "gap_ms", [](auto& s) -> auto& { return s.burst.gap_ms; }, 0, kMaxMs,
+          is_burst),
+      F::num(
+          "burst_frames", [](auto& s) -> auto& { return s.burst.burst_frames; },
+          1, 240, is_burst),
+      F::num(
+          "burst_fps", [](auto& s) -> auto& { return s.burst.burst_fps; },
+          std::numeric_limits<double>::denorm_min(), kMaxFps, is_burst),
+      {"motion",
+       [](SceneSpec& s, std::string_view v, std::string&) {
+         const auto m = sim::kv::parse_list(v, 0, 3);
+         if (m && m->size() <= 16) s.burst.motion = *m;
+         return m && m->size() <= 16;
+       },
+       [](const SceneSpec& s) { return sim::kv::join(s.burst.motion); },
+       is_burst},
+  };
+  return kFields;
 }
 
 }  // namespace
 
 std::string scene_spec_to_string(const SceneSpec& spec) {
-  std::ostringstream os;
-  os << "schema = " << kSchema << "\n";
-  if (spec.type == SceneSpec::Type::kUi) {
-    os << "type = ui\n";
-    os << "idle_timeout_ms = " << spec.ui.idle_timeout_ms << "\n";
-    os << "marquee_px = " << spec.ui.marquee_px << "\n";
-    for (const UiState& st : spec.ui.states) {
-      os << "state = " << kind_to_string(st.kind)
-         << " dwell_ms=" << st.dwell_ms
-         << " fps=" << double_to_string(st.anim_fps) << " next=" << st.next
-         << " touch=" << st.touch_next << "\n";
-    }
-    return os.str();
-  }
-  if (spec.type == SceneSpec::Type::kBurstVideo) {
-    os << "type = burst_video\n";
-    os << "gap_ms = " << spec.burst.gap_ms << "\n";
-    os << "burst_frames = " << spec.burst.burst_frames << "\n";
-    os << "burst_fps = " << double_to_string(spec.burst.burst_fps) << "\n";
-    os << "motion = ";
-    for (std::size_t i = 0; i < spec.burst.motion.size(); ++i) {
-      if (i) os << ",";
-      os << spec.burst.motion[i];
-    }
-    os << "\n";
-    return os.str();
-  }
-  return "";
+  if (!is_ui(spec) && !is_burst(spec)) return "";
+  return sim::kv::write(fields(), spec);
 }
 
 std::optional<SceneSpec> scene_spec_from_string(const std::string& text,
                                                 std::string* error) {
-  const auto fail = [error](const std::string& msg) -> std::optional<SceneSpec> {
-    if (error) *error = msg;
-    return std::nullopt;
+  const auto fail = [error](const std::string& msg) {
+    if (error != nullptr) *error = msg;
+    return std::optional<SceneSpec>();
   };
-
-  bool have_schema = false;
-  std::optional<std::string> type;
-  UiSceneSpec ui;
-  ui.states.clear();
-  BurstVideoSpec burst;
-  bool have_timeout = false, have_marquee = false, have_gap = false,
-       have_frames = false, have_fps = false, have_motion = false;
-
-  std::istringstream is(text);
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(is, raw)) {
-    ++lineno;
-    std::string line = raw;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line = line.substr(0, hash);
-    }
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      return fail("scene line " + std::to_string(lineno) + ": not key=value");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const auto bad = [&]() {
-      return fail("scene line " + std::to_string(lineno) + ": bad " + key +
-                  " value: " + value);
-    };
-
-    if (key == "schema") {
-      if (value != kSchema) return fail("unsupported scene schema: " + value);
-      have_schema = true;
-    } else if (key == "type") {
-      if (type) return fail("duplicate type");
-      if (value != "ui" && value != "burst_video") return bad();
-      type = value;
-    } else if (key == "idle_timeout_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > kMaxMs || have_timeout) return bad();
-      ui.idle_timeout_ms = *ms;
-      have_timeout = true;
-    } else if (key == "marquee_px") {
-      const auto px = parse_int_strict(value);
-      if (!px || *px < 1 || *px > 64 || have_marquee) return bad();
-      ui.marquee_px = static_cast<int>(*px);
-      have_marquee = true;
-    } else if (key == "state") {
-      std::string state_error;
-      const auto st = parse_state(value, &state_error);
-      if (!st) {
-        return fail("scene line " + std::to_string(lineno) + ": " +
-                    (state_error.empty() ? "bad state" : state_error));
-      }
-      if (ui.states.size() >= kMaxStates) return fail("too many states");
-      ui.states.push_back(*st);
-    } else if (key == "gap_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > kMaxMs || have_gap) return bad();
-      burst.gap_ms = *ms;
-      have_gap = true;
-    } else if (key == "burst_frames") {
-      const auto n = parse_int_strict(value);
-      if (!n || *n < 1 || *n > 240 || have_frames) return bad();
-      burst.burst_frames = static_cast<int>(*n);
-      have_frames = true;
-    } else if (key == "burst_fps") {
-      const auto fps = parse_double_strict(value);
-      if (!fps || *fps <= 0.0 || *fps > kMaxFps || have_fps) return bad();
-      burst.burst_fps = *fps;
-      have_fps = true;
-    } else if (key == "motion") {
-      const auto m = parse_motion(value);
-      if (!m || have_motion) return bad();
-      burst.motion = *m;
-      have_motion = true;
-    } else {
-      return fail("unknown scene key: " + key);
+  SceneSpec s;
+  s.ui.states.clear();
+  std::vector<bool> seen;
+  if (!sim::kv::parse(text, fields(), s, error, &seen)) return std::nullopt;
+  // Keys of the other scene type are errors, not silently ignored.
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i] && fields()[i].when && !fields()[i].when(s)) {
+      return fail(std::string(fields()[i].key) + " is not a " +
+                  (is_ui(s) ? "ui" : "burst_video") + " scene key");
     }
   }
-
-  if (!have_schema) return fail("missing scene schema line");
-  if (!type) return fail("missing scene type");
-  if (*type == "ui") {
-    if (have_gap || have_frames || have_fps || have_motion) {
-      return fail("burst_video keys in a ui scene");
-    }
-    if (ui.states.empty()) return fail("ui scene needs at least one state");
-    const int n = static_cast<int>(ui.states.size());
-    for (const UiState& st : ui.states) {
-      if (st.next >= n) return fail("state next out of range");
-      if (st.touch_next >= n) return fail("state touch out of range");
-    }
-    return SceneSpec::ui_machine(std::move(ui));
+  if (is_burst(s)) return SceneSpec::burst_video(std::move(s.burst));
+  if (s.ui.states.empty()) return fail("ui scene needs at least one state");
+  const int n = static_cast<int>(s.ui.states.size());
+  for (const UiState& st : s.ui.states) {
+    if (st.next >= n) return fail("state next out of range");
+    if (st.touch_next >= n) return fail("state touch out of range");
   }
-  if (have_timeout || have_marquee || !ui.states.empty()) {
-    return fail("ui keys in a burst_video scene");
-  }
-  return SceneSpec::burst_video(std::move(burst));
+  return SceneSpec::ui_machine(std::move(s.ui));
 }
 
 }  // namespace ccdem::apps

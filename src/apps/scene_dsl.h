@@ -1,8 +1,9 @@
 // ccdem-scene-v1: the scene DSL.
 //
-// A strict key=value text form (same conventions as the Scenario format:
-// '#' comments, whole-value numeric parses, exact round-trip through the
-// canonical serialization) for the two DSL-described scenes:
+// A key = value text form (the shared rules of sim/kv_text.h: '#'
+// comments, whole-value numeric parses, duplicate keys rejected, exact
+// round-trip through the canonical serialization) for the two DSL-described
+// scenes:
 //
 //   schema = ccdem-scene-v1          schema = ccdem-scene-v1
 //   type = ui                        type = burst_video
@@ -13,10 +14,12 @@
 //                                    burst_fps = 30
 //                                    motion = 1,3,0,2
 //
-// `state` lines are ordered (state 0 is initial) and each carries all four
-// attributes; kinds are idle/menu/scroll/slide/marquee/dialog.  Scenario
-// embeds this block verbatim between begin_scene/end_scene markers, so the
-// grammar deliberately has no line that could collide with those.
+// `state` is the one repeatable key: its lines are ordered (state 0 is
+// initial) and each carries all four attributes; kinds are
+// idle/menu/scroll/slide/marquee/dialog.  Keys of the other scene type are
+// errors.  Scenario embeds this block verbatim between begin_scene/end_scene
+// markers, so the grammar deliberately has no line that could collide with
+// those.
 #pragma once
 
 #include <optional>

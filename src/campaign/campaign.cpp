@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "campaign/bin_format.h"
 #include "campaign/io_util.h"
+#include "core/grid_sampler.h"
 #include "device/control_mode.h"
+#include "sim/kv_text.h"
 
 namespace ccdem::campaign {
 
@@ -21,91 +20,59 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kSpecSchema = "ccdem-campaign-v1";
 constexpr const char* kManifestSchema = "ccdem-campaign-manifest-v2";
 // v1 manifests checkpointed contiguous shard ranges; their done shard files
 // hold other indices than the same shard numbers do now.
 constexpr const char* kContiguousManifestSchema = "ccdem-campaign-manifest-v1";
-constexpr const char* kGrids[] = {"2k", "4k", "9k", "36k", "full"};
 
-bool known_grid(const std::string& g) {
-  for (const char* k : kGrids) {
-    if (g == k) return true;
-  }
-  return false;
+using F = sim::kv::Field<CampaignSpec>;
+
+/// A scale axis, written with format_double so existing specs keep their
+/// fingerprints.
+F scales(std::string_view key, std::vector<double> CampaignSpec::*axis,
+         F::When when = nullptr) {
+  F f = F::list(key, axis);
+  f.emit = [=](const CampaignSpec& c) {
+    std::string out;
+    for (const double d : c.*axis) {
+      out += (out.empty() ? "" : ",") + format_double(d);
+    }
+    return out;
+  };
+  f.when = std::move(when);
+  return f;
 }
 
-std::optional<std::uint64_t> parse_u64_strict(const std::string& v) {
-  if (v.empty() || v[0] == '-' || v[0] == '+') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  if (errno != 0 || end != v.c_str() + v.size()) return std::nullopt;
-  return x;
+const std::vector<F>& fields() {
+  static const std::vector<F> kFields = {
+      F::schema("ccdem-campaign-v1"),
+      F::list("apps", &CampaignSpec::apps),
+      F::list("modes", &CampaignSpec::modes),
+      F::list("grids", &CampaignSpec::grids),
+      scales("fault_scales", &CampaignSpec::fault_scales),
+      // Only written when non-trivial so pre-existing specs keep their
+      // canonical text (and thus fingerprint) unchanged.
+      scales("pressure_scales", &CampaignSpec::pressure_scales,
+             [](const CampaignSpec& c) {
+               return !(c.pressure_scales.size() == 1 &&
+                        c.pressure_scales[0] == 0.0);
+             }),
+      F::list("seeds", &CampaignSpec::seeds),
+      F::num("duration_ms", &CampaignSpec::duration_ms),
+      F::num("ab", &CampaignSpec::ab),
+      F::num("record_spans", &CampaignSpec::record_spans),
+      F::num("oracles", &CampaignSpec::oracles),
+      F::num("shards", &CampaignSpec::shards, 1, 100000),
+  };
+  return kFields;
 }
 
-std::optional<std::int64_t> parse_i64_strict(const std::string& v) {
-  if (v.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (errno != 0 || end != v.c_str() + v.size()) return std::nullopt;
-  return x;
-}
-
-std::optional<double> parse_double_strict(const std::string& v) {
-  if (v.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  if (errno == ERANGE || end != v.c_str() + v.size()) return std::nullopt;
-  if (!std::isfinite(x)) return std::nullopt;
-  return x;
-}
-
-std::optional<bool> parse_bool_strict(const std::string& v) {
-  if (v == "0" || v == "false") return false;
-  if (v == "1" || v == "true") return true;
-  return std::nullopt;
-}
-
-std::string trim_ws(const std::string& s) {
-  const std::size_t a = s.find_first_not_of(" \t");
-  if (a == std::string::npos) return std::string();
-  const std::size_t b = s.find_last_not_of(" \t");
-  return s.substr(a, b - a + 1);
-}
-
-// Comma list; elements are trimmed ("a, b" == "a,b") but may contain
-// interior spaces (app names like "Jelly Splash").
-std::vector<std::string> split_list(const std::string& v) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= v.size()) {
-    const std::size_t comma = v.find(',', start);
-    const std::size_t end = comma == std::string::npos ? v.size() : comma;
-    out.push_back(trim_ws(v.substr(start, end - start)));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ',';
-    out += items[i];
-  }
-  return out;
-}
-
-/// Splits "key = value"; false when the line is not of that shape.
+/// Splits a manifest "key = value" line; false when it is not of that shape.
 bool split_kv(const std::string& line, std::string* key, std::string* value) {
   const std::size_t eq = line.find('=');
   if (eq == std::string::npos) return false;
-  *key = trim_ws(line.substr(0, eq));
-  *value = trim_ws(line.substr(eq + 1));
+  *key = sim::kv::trim(std::string_view(line).substr(0, eq));
+  *value = sim::kv::trim(std::string_view(line).substr(eq + 1));
   return !key->empty();
 }
 
@@ -157,118 +124,17 @@ check::Scenario CampaignSpec::scenario_at(std::uint64_t i) const {
 }
 
 std::string CampaignSpec::to_string() const {
-  std::ostringstream os;
-  os << "schema = " << kSpecSchema << "\n";
-  os << "apps = " << join(apps) << "\n";
-  os << "modes = " << join(modes) << "\n";
-  os << "grids = " << join(grids) << "\n";
-  std::vector<std::string> scales;
-  scales.reserve(fault_scales.size());
-  for (const double f : fault_scales) scales.push_back(format_double(f));
-  os << "fault_scales = " << join(scales) << "\n";
-  // Only emitted when non-trivial so pre-existing specs keep their
-  // canonical text (and thus fingerprint) unchanged.
-  if (!(pressure_scales.size() == 1 && pressure_scales[0] == 0.0)) {
-    std::vector<std::string> pressures;
-    pressures.reserve(pressure_scales.size());
-    for (const double p : pressure_scales) {
-      pressures.push_back(format_double(p));
-    }
-    os << "pressure_scales = " << join(pressures) << "\n";
-  }
-  std::vector<std::string> seed_texts;
-  seed_texts.reserve(seeds.size());
-  for (const std::uint64_t s : seeds) seed_texts.push_back(std::to_string(s));
-  os << "seeds = " << join(seed_texts) << "\n";
-  os << "duration_ms = " << duration_ms << "\n";
-  os << "ab = " << (ab ? 1 : 0) << "\n";
-  os << "record_spans = " << (record_spans ? 1 : 0) << "\n";
-  os << "oracles = " << (oracles ? 1 : 0) << "\n";
-  os << "shards = " << shards << "\n";
-  return os.str();
+  return sim::kv::write(fields(), *this);
 }
 
 std::optional<CampaignSpec> CampaignSpec::parse(const std::string& text,
                                                 std::string* error) {
-  auto fail = [&](int line_no, const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
-    return std::nullopt;
-  };
-
   CampaignSpec spec;
-  bool saw_schema = false;
-  std::vector<std::string> seen;
-  std::istringstream is(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::string key, value;
-    if (!split_kv(line, &key, &value)) {
-      return fail(line_no, "expected 'key = value'");
-    }
-    for (const std::string& s : seen) {
-      if (s == key) return fail(line_no, "duplicate key '" + key + "'");
-    }
-    seen.push_back(key);
-
-    if (key == "schema") {
-      if (value != kSpecSchema) {
-        return fail(line_no, "unsupported schema '" + value + "'");
-      }
-      saw_schema = true;
-    } else if (key == "apps") {
-      spec.apps = split_list(value);
-    } else if (key == "modes") {
-      spec.modes = split_list(value);
-    } else if (key == "grids") {
-      spec.grids = split_list(value);
-    } else if (key == "fault_scales") {
-      spec.fault_scales.clear();
-      for (const std::string& item : split_list(value)) {
-        const auto d = parse_double_strict(item);
-        if (!d) return fail(line_no, "bad fault scale '" + item + "'");
-        spec.fault_scales.push_back(*d);
-      }
-    } else if (key == "pressure_scales") {
-      spec.pressure_scales.clear();
-      for (const std::string& item : split_list(value)) {
-        const auto d = parse_double_strict(item);
-        if (!d) return fail(line_no, "bad pressure scale '" + item + "'");
-        spec.pressure_scales.push_back(*d);
-      }
-    } else if (key == "seeds") {
-      spec.seeds.clear();
-      for (const std::string& item : split_list(value)) {
-        const auto s = parse_u64_strict(item);
-        if (!s) return fail(line_no, "bad seed '" + item + "'");
-        spec.seeds.push_back(*s);
-      }
-    } else if (key == "duration_ms") {
-      const auto d = parse_i64_strict(value);
-      if (!d) return fail(line_no, "bad duration_ms '" + value + "'");
-      spec.duration_ms = *d;
-    } else if (key == "ab" || key == "record_spans" || key == "oracles") {
-      const auto b = parse_bool_strict(value);
-      if (!b) return fail(line_no, "bad flag '" + value + "'");
-      (key == "ab" ? spec.ab
-                   : key == "record_spans" ? spec.record_spans
-                                           : spec.oracles) = *b;
-    } else if (key == "shards") {
-      const auto s = parse_i64_strict(value);
-      if (!s || *s < 1 || *s > 100000) {
-        return fail(line_no, "bad shards '" + value + "'");
-      }
-      spec.shards = static_cast<int>(*s);
-    } else {
-      return fail(line_no, "unknown key '" + key + "'");
-    }
+  if (!sim::kv::parse(text, fields(), spec, error)) return std::nullopt;
+  if (const auto why = spec.validate()) {
+    if (error != nullptr) *error = *why;
+    return std::nullopt;
   }
-  if (!saw_schema) return fail(line_no, "missing 'schema' line");
-  if (const auto why = spec.validate()) return fail(line_no, *why);
   return spec;
 }
 
@@ -290,7 +156,7 @@ std::optional<std::string> CampaignSpec::validate() const {
   }
   if (grids.empty()) return "grids must not be empty";
   for (const std::string& g : grids) {
-    if (!known_grid(g)) return "unknown grid '" + g + "'";
+    if (!core::GridSpec::from_keyword(g)) return "unknown grid '" + g + "'";
   }
   if (fault_scales.empty()) return "fault_scales must not be empty";
   for (const double f : fault_scales) {
@@ -450,20 +316,21 @@ std::optional<Manifest> Manifest::parse(const std::string& text,
       }
       saw_schema = true;
     } else if (key == "fingerprint") {
-      const auto f = parse_u64_strict(value);
+      const auto f = sim::kv::parse_as<std::uint64_t>(value);
       if (!f) return fail(line_no, "bad fingerprint");
       m.fingerprint = *f;
     } else if (key == "scenarios") {
-      const auto n = parse_u64_strict(value);
+      const auto n = sim::kv::parse_as<std::uint64_t>(value);
       if (!n) return fail(line_no, "bad scenario count");
       m.scenarios = *n;
     } else if (key == "shards") {
-      const auto n = parse_i64_strict(value);
+      const auto n = sim::kv::parse_as<int>(value);
       if (!n || *n < 1) return fail(line_no, "bad shard count");
-      m.shards = static_cast<int>(*n);
+      m.shards = *n;
       m.shard_rows.assign(static_cast<std::size_t>(m.shards), Shard{});
     } else if (key.rfind("shard ", 0) == 0) {
-      const auto idx = parse_u64_strict(key.substr(6));
+      const auto idx = sim::kv::parse_as<std::uint64_t>(
+          sim::kv::trim(std::string_view(key).substr(6)));
       if (!idx || *idx >= m.shard_rows.size()) {
         return fail(line_no, "bad shard index in '" + key + "'");
       }
@@ -492,15 +359,15 @@ std::optional<Manifest> Manifest::parse(const std::string& text,
         if (k == "file") {
           s.file = v;
         } else if (k == "results") {
-          const auto n = parse_u64_strict(v);
+          const auto n = sim::kv::parse_as<std::uint64_t>(v);
           if (!n) return fail(line_no, "bad results count");
           s.results = *n;
         } else if (k == "bytes") {
-          const auto n = parse_u64_strict(v);
+          const auto n = sim::kv::parse_as<std::uint64_t>(v);
           if (!n) return fail(line_no, "bad byte count");
           s.bytes = *n;
         } else if (k == "attempts") {
-          const auto n = parse_u64_strict(v);
+          const auto n = sim::kv::parse_as<std::uint64_t>(v);
           if (!n) return fail(line_no, "bad attempts count");
           s.attempts = static_cast<int>(*n);
         } else {
@@ -510,7 +377,8 @@ std::optional<Manifest> Manifest::parse(const std::string& text,
       if (first) return fail(line_no, "empty shard row");
       m.shard_rows[static_cast<std::size_t>(*idx)] = s;
     } else if (key.rfind("quarantine ", 0) == 0) {
-      const auto idx = parse_u64_strict(key.substr(11));
+      const auto idx = sim::kv::parse_as<std::uint64_t>(
+          sim::kv::trim(std::string_view(key).substr(11)));
       if (!idx) return fail(line_no, "bad quarantine index");
       m.quarantined.push_back(Quarantine{*idx, value});
     } else {

@@ -326,7 +326,9 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
       const auto text = load_file(fail_path);
       const auto f = text ? parse_fail(*text) : std::nullopt;
       fs::remove(fail_path, ec);
-      if (f && !manifest.is_quarantined(f->index)) {
+      // A sidecar naming an index outside the matrix is damaged; skip it
+      // rather than hand scenario_at an out-of-range index.
+      if (f && f->index < spec.size() && !manifest.is_quarantined(f->index)) {
         quarantine_scenario(spec, manifest, f->index, "oracle: " + f->reason,
                             /*is_crash=*/false, dir, options, result);
         launches[static_cast<std::size_t>(s)] = 0;  // progress was made
@@ -343,7 +345,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const fs::path& dir,
       const auto inflight = text ? parse_progress(*text) : std::nullopt;
       if (inflight) {
         for (const std::uint64_t idx : *inflight) {
-          if (manifest.is_quarantined(idx)) continue;
+          if (idx >= spec.size() || manifest.is_quarantined(idx)) continue;
           if (!survives_in_isolation(spec, idx, options.worker)) {
             quarantine_scenario(spec, manifest, idx, crash_reason(status),
                                 /*is_crash=*/true, dir, options, result);

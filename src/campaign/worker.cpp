@@ -16,6 +16,7 @@
 #include "harness/experiment.h"
 #include "harness/fleet.h"
 #include "obs/obs.h"
+#include "sim/kv_text.h"
 
 namespace ccdem::campaign {
 
@@ -92,20 +93,11 @@ std::optional<std::vector<std::uint64_t>> parse_progress(
       saw_schema = true;
     } else if (line.rfind("inflight =", 0) == 0) {
       std::vector<std::uint64_t> out;
-      std::string rest = line.substr(10);
-      std::istringstream vs(rest);
-      std::string item;
-      while (std::getline(vs, item, ',')) {
-        const std::size_t a = item.find_first_not_of(' ');
-        if (a == std::string::npos) continue;
-        errno = 0;
-        char* end = nullptr;
-        const unsigned long long v =
-            std::strtoull(item.c_str() + a, &end, 10);
-        if (errno != 0 || end != item.c_str() + item.size()) {
-          return std::nullopt;
-        }
-        out.push_back(v);
+      for (const std::string& item : sim::kv::split_list(line.substr(10))) {
+        if (item.empty()) continue;
+        const auto v = sim::kv::parse_as<std::uint64_t>(item);
+        if (!v) return std::nullopt;
+        out.push_back(*v);
       }
       inflight = std::move(out);
     }
@@ -132,11 +124,9 @@ std::optional<FailSidecar> parse_fail(const std::string& text) {
       if (line.substr(9) != kFailSchema) return std::nullopt;
       saw_schema = true;
     } else if (line.rfind("index = ", 0) == 0) {
-      errno = 0;
-      char* end = nullptr;
-      const std::string v = line.substr(8);
-      f.index = std::strtoull(v.c_str(), &end, 10);
-      if (errno != 0 || end != v.c_str() + v.size()) return std::nullopt;
+      const auto v = sim::kv::parse_as<std::uint64_t>(line.substr(8));
+      if (!v) return std::nullopt;
+      f.index = *v;
       saw_index = true;
     } else if (line.rfind("reason = ", 0) == 0) {
       f.reason = line.substr(9);

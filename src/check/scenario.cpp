@@ -1,166 +1,148 @@
 #include "check/scenario.h"
 
+#include <algorithm>
 #include <cassert>
-#include <charconv>
-#include <cmath>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "apps/app_profiles.h"
 #include "apps/scene_dsl.h"
 #include "fault/fault_plan.h"
+#include "harness/config_io.h"
 #include "input/script_io.h"
+#include "sim/kv_text.h"
 
 namespace ccdem::check {
 
 namespace {
 
-constexpr const char* kSchema = "ccdem-repro-v1";
+using F = sim::kv::Field<Scenario>;
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
+/// A "none" or comma list of class names, each naming a flag of C.
+template <class C, std::size_t N>
+F class_set(std::string_view key, C Scenario::*member,
+            const std::pair<const char*, bool C::*> (&names)[N],
+            F::When when) {
+  return {key,
+          [=](Scenario& s, std::string_view v, std::string&) {
+            C set;
+            for (const auto& [name, flag] : names) set.*flag = false;
+            if (v != "none") {
+              for (const std::string& item : sim::kv::split_list(v)) {
+                const auto* it = std::find_if(
+                    std::begin(names), std::end(names),
+                    [&](const auto& n) { return item == n.first; });
+                if (it == std::end(names)) return false;
+                set.*(it->second) = true;
+              }
+            }
+            s.*member = set;
+            return true;
+          },
+          [=](const Scenario& s) {
+            std::string out;
+            for (const auto& [name, flag] : names) {
+              if (!((s.*member).*flag)) continue;
+              if (!out.empty()) out += ",";
+              out += name;
+            }
+            return out.empty() ? std::string("none") : out;
+          },
+          std::move(when)};
 }
 
-// Strict numeric parsing, same rules as config_io: the whole value must be
-// consumed, doubles must be finite.
-std::optional<long long> parse_int_strict(const std::string& v) {
-  long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
-}
+constexpr std::pair<const char*, bool FaultClasses::*> kFaultClasses[] = {
+    {"switching", &FaultClasses::switching},
+    {"stuck", &FaultClasses::stuck},
+    {"capability", &FaultClasses::capability},
+    {"touch", &FaultClasses::touch},
+    {"meter", &FaultClasses::meter},
+};
+constexpr std::pair<const char*, bool PressureClasses::*> kPressureClasses[] = {
+    {"thermal", &PressureClasses::thermal},
+    {"brownout", &PressureClasses::brownout},
+    {"jitter", &PressureClasses::jitter},
+};
 
-std::optional<unsigned long long> parse_u64_strict(const std::string& v) {
-  unsigned long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
-}
+bool faulted(const Scenario& s) { return s.fault_scale > 0.0; }
+bool pressured(const Scenario& s) { return s.pressure_scale > 0.0; }
 
-std::optional<double> parse_double_strict(const std::string& v) {
-  double out = 0.0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  if (!std::isfinite(out)) return std::nullopt;
-  return out;
-}
-
-std::optional<bool> parse_bool_strict(const std::string& v) {
-  if (v == "0") return false;
-  if (v == "1") return true;
-  return std::nullopt;
-}
-
-/// Shortest round-trip decimal (std::to_chars default), so alpha = 0.5
-/// serializes as "0.5", not seventeen digits.
-std::string double_to_string(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  assert(ec == std::errc{});
-  return std::string(buf, ptr);
-}
-
-std::optional<core::GridSpec> parse_grid(const std::string& v) {
-  if (v == "2k") return core::GridSpec::grid_2k();
-  if (v == "4k") return core::GridSpec::grid_4k();
-  if (v == "9k") return core::GridSpec::grid_9k();
-  if (v == "36k") return core::GridSpec::grid_36k();
-  if (v == "full") return core::GridSpec::full_720p();
-  return std::nullopt;
-}
-
-std::optional<std::vector<int>> parse_rate_list(const std::string& v) {
-  std::vector<int> rates;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
-    const auto hz = parse_int_strict(item);
-    if (!hz || *hz <= 0 || *hz > 1000) return std::nullopt;
-    rates.push_back(static_cast<int>(*hz));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (rates.empty()) return std::nullopt;
-  return rates;
-}
-
-std::optional<FaultClasses> parse_fault_classes(const std::string& v) {
-  FaultClasses fc{false, false, false, false, false};
-  if (v == "none") return fc;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
-    if (item == "switching") fc.switching = true;
-    else if (item == "stuck") fc.stuck = true;
-    else if (item == "capability") fc.capability = true;
-    else if (item == "touch") fc.touch = true;
-    else if (item == "meter") fc.meter = true;
-    else return std::nullopt;
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return fc;
-}
-
-std::optional<PressureClasses> parse_pressure_classes(const std::string& v) {
-  PressureClasses pc{false, false, false};
-  if (v == "none") return pc;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
-    if (item == "thermal") pc.thermal = true;
-    else if (item == "brownout") pc.brownout = true;
-    else if (item == "jitter") pc.jitter = true;
-    else return std::nullopt;
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return pc;
-}
-
-std::string pressure_classes_to_string(const PressureClasses& pc) {
-  std::string out;
-  const auto add = [&out](const char* name) {
-    if (!out.empty()) out += ",";
-    out += name;
+// Fields with context-dependent defaults are always written, so a missing
+// key means a hand-edited file.  The pressure keys, the scene block and the
+// script block exist only when set, so every repro written before them
+// stays byte-identical.
+const std::vector<F>& fields() {
+  static const std::vector<F> kFields = {
+      F::schema("ccdem-repro-v1"),
+      {"app",
+       [](Scenario& s, std::string_view v, std::string&) {
+         s.app = v;
+         return find_app(s.app).has_value();
+       },
+       [](const Scenario& s) { return s.app; }},
+      F::keyword("mode", &Scenario::mode, device::control_mode_from_keyword,
+                 device::control_mode_keyword),
+      // Stored canonically, so round-trip is byte-exact regardless of the
+      // input's spacing.
+      {"pipeline",
+       [](Scenario& s, std::string_view v, std::string& why) {
+         const auto ps = core::PipelineSpec::parse(v, &why);
+         if (ps) s.pipeline = ps->to_string();
+         return ps.has_value();
+       },
+       [](const Scenario& s) { return s.pipeline; },
+       [](const Scenario& s) {
+         return s.mode == device::ControlMode::kPipeline;
+       }},
+      F::num("duration_ms", &Scenario::duration_ms, 1, 600'000),
+      F::num("seed", &Scenario::seed),
+      {"grid",
+       [](Scenario& s, std::string_view v, std::string&) {
+         s.grid = v;
+         return core::GridSpec::from_keyword(v).has_value();
+       },
+       [](const Scenario& s) { return s.grid; }},
+      F::num("eval_ms", &Scenario::eval_ms, 1, 10'000),
+      F::num("boost_hold_ms", &Scenario::boost_hold_ms, 0, 60'000),
+      F::num("meter_window_ms", &Scenario::meter_window_ms, 1, 60'000),
+      F::num("alpha", &Scenario::alpha, 0.0, 1.0),
+      F::list("rates", &Scenario::rates, 1, 1000),
+      F::num("baseline_hz", &Scenario::baseline_hz, 0, 1000),
+      F::num("min_hz", &Scenario::min_hz, 0, 1000),
+      F::num("boost_hz", &Scenario::boost_hz, 0, 1000),
+      F::num("fast_rate_up", &Scenario::fast_rate_up),
+      F::num("fault_scale", &Scenario::fault_scale, 0.0, 100.0),
+      F::num("fault_until_ms", &Scenario::fault_until_ms, 0, 600'000,
+             faulted),
+      class_set("fault_classes", &Scenario::fault_classes, kFaultClasses,
+                faulted),
+      F::num("pressure_scale", &Scenario::pressure_scale, 0.0, 100.0,
+             pressured),
+      F::num("pressure_until_ms", &Scenario::pressure_until_ms, 0, 600'000,
+             pressured),
+      class_set("pressure_classes", &Scenario::pressure_classes,
+                kPressureClasses, pressured),
+      F::num("fleet", &Scenario::fleet),
+      {"scene",
+       [](Scenario& s, std::string_view v, std::string& why) {
+         const auto scene = apps::scene_spec_from_string(std::string(v), &why);
+         if (scene) s.scene = apps::scene_spec_to_string(*scene);
+         return scene.has_value();
+       },
+       [](const Scenario& s) { return s.scene; },
+       [](const Scenario& s) { return !s.scene.empty(); },
+       sim::kv::Kind::kBlock},
+      {"script",
+       [](Scenario& s, std::string_view v, std::string& why) {
+         s.script = input::script_from_string(std::string(v), &why);
+         return s.script.has_value();
+       },
+       [](const Scenario& s) { return input::script_to_string(*s.script); },
+       [](const Scenario& s) { return s.script.has_value(); },
+       sim::kv::Kind::kBlock},
   };
-  if (pc.thermal) add("thermal");
-  if (pc.brownout) add("brownout");
-  if (pc.jitter) add("jitter");
-  return out.empty() ? "none" : out;
-}
-
-std::string fault_classes_to_string(const FaultClasses& fc) {
-  std::string out;
-  const auto add = [&out](const char* name) {
-    if (!out.empty()) out += ",";
-    out += name;
-  };
-  if (fc.switching) add("switching");
-  if (fc.stuck) add("stuck");
-  if (fc.capability) add("capability");
-  if (fc.touch) add("touch");
-  if (fc.meter) add("meter");
-  return out.empty() ? "none" : out;
-}
-
-bool set_error(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-  return false;
+  return kFields;
 }
 
 }  // namespace
@@ -170,7 +152,7 @@ std::optional<apps::AppSpec> find_app(const std::string& name) {
 }
 
 core::GridSpec Scenario::grid_spec() const {
-  const auto g = parse_grid(grid);
+  const auto g = core::GridSpec::from_keyword(grid);
   assert(g && "invalid grid keyword; parse_scenario validates this");
   return *g;
 }
@@ -243,58 +225,7 @@ harness::ExperimentConfig Scenario::experiment_config() const {
 }
 
 std::string scenario_to_string(const Scenario& s) {
-  std::ostringstream os;
-  os << "schema = " << kSchema << "\n";
-  os << "app = " << s.app << "\n";
-  os << "mode = " << device::control_mode_keyword(s.mode) << "\n";
-  if (s.mode == device::ControlMode::kPipeline) {
-    os << "pipeline = " << s.pipeline << "\n";
-  }
-  os << "duration_ms = " << s.duration_ms << "\n";
-  os << "seed = " << s.seed << "\n";
-  os << "grid = " << s.grid << "\n";
-  os << "eval_ms = " << s.eval_ms << "\n";
-  os << "boost_hold_ms = " << s.boost_hold_ms << "\n";
-  os << "meter_window_ms = " << s.meter_window_ms << "\n";
-  os << "alpha = " << double_to_string(s.alpha) << "\n";
-  os << "rates = ";
-  for (std::size_t i = 0; i < s.rates.size(); ++i) {
-    if (i != 0) os << ",";
-    os << s.rates[i];
-  }
-  os << "\n";
-  os << "baseline_hz = " << s.baseline_hz << "\n";
-  os << "min_hz = " << s.min_hz << "\n";
-  os << "boost_hz = " << s.boost_hz << "\n";
-  os << "fast_rate_up = " << (s.fast_rate_up ? 1 : 0) << "\n";
-  os << "fault_scale = " << double_to_string(s.fault_scale) << "\n";
-  if (s.fault_scale > 0.0) {
-    os << "fault_until_ms = " << s.fault_until_ms << "\n";
-    os << "fault_classes = " << fault_classes_to_string(s.fault_classes)
-       << "\n";
-  }
-  // Unlike fault_scale, the pressure keys are omitted entirely at zero so
-  // every pre-pressure repro and golden stays byte-identical.
-  if (s.pressure_scale > 0.0) {
-    os << "pressure_scale = " << double_to_string(s.pressure_scale) << "\n";
-    os << "pressure_until_ms = " << s.pressure_until_ms << "\n";
-    os << "pressure_classes = "
-       << pressure_classes_to_string(s.pressure_classes) << "\n";
-  }
-  os << "fleet = " << (s.fleet ? 1 : 0) << "\n";
-  // Like the pressure keys, the scene block only exists when a scene
-  // override does, so pre-scene repro files stay byte-identical.
-  if (!s.scene.empty()) {
-    os << "begin_scene\n";
-    os << s.scene;
-    os << "end_scene\n";
-  }
-  if (s.script) {
-    os << "begin_script\n";
-    os << input::script_to_string(*s.script);
-    os << "end_script\n";
-  }
-  return os.str();
+  return sim::kv::write(fields(), s);
 }
 
 std::string repro_to_string(const Scenario& s,
@@ -316,229 +247,11 @@ std::string repro_to_string(const Scenario& s,
 std::optional<Scenario> parse_scenario(const std::string& text,
                                        std::string* error) {
   Scenario s;
-  // Fields with context-dependent defaults start cleared; serialization
-  // always writes them, so a missing key means a hand-edited file.
-  bool have_schema = false;
-  std::istringstream is(text);
-  std::string line;
-  int line_no = 0;
-  bool have_script = false;
-  bool have_scene = false;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::string raw = trim(line);
-    if (raw == "begin_scene") {
-      if (have_scene) {
-        set_error(error, "line " + std::to_string(line_no) +
-                             ": duplicate begin_scene");
-        return std::nullopt;
-      }
-      std::string scene_text;
-      bool closed = false;
-      while (std::getline(is, line)) {
-        ++line_no;
-        if (trim(line) == "end_scene") {
-          closed = true;
-          break;
-        }
-        scene_text += line;
-        scene_text += "\n";
-      }
-      if (!closed) {
-        set_error(error, "unterminated begin_scene block");
-        return std::nullopt;
-      }
-      std::string scene_error;
-      const auto scene = apps::scene_spec_from_string(scene_text,
-                                                      &scene_error);
-      if (!scene) {
-        set_error(error, "embedded scene: " + scene_error);
-        return std::nullopt;
-      }
-      // Canonical rendering, so round-trip is byte-exact regardless of the
-      // input's spacing.
-      s.scene = apps::scene_spec_to_string(*scene);
-      have_scene = true;
-      continue;
-    }
-    if (raw == "begin_script") {
-      if (have_script) {
-        set_error(error, "line " + std::to_string(line_no) +
-                             ": duplicate begin_script");
-        return std::nullopt;
-      }
-      std::string script_text;
-      bool closed = false;
-      while (std::getline(is, line)) {
-        ++line_no;
-        if (trim(line) == "end_script") {
-          closed = true;
-          break;
-        }
-        script_text += line;
-        script_text += "\n";
-      }
-      if (!closed) {
-        set_error(error, "unterminated begin_script block");
-        return std::nullopt;
-      }
-      std::string script_error;
-      auto script = input::script_from_string(script_text, &script_error);
-      if (!script) {
-        set_error(error, "embedded script: " + script_error);
-        return std::nullopt;
-      }
-      s.script = std::move(*script);
-      have_script = true;
-      continue;
-    }
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (trim(line).empty()) continue;
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      set_error(error, "line " + std::to_string(line_no) + ": expected '='");
-      return std::nullopt;
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const auto bad_value = [&] {
-      set_error(error, "line " + std::to_string(line_no) + ": bad value '" +
-                           value + "' for key '" + key + "'");
-      return std::nullopt;
-    };
-
-    if (key == "schema") {
-      if (value != kSchema) return bad_value();
-      have_schema = true;
-    } else if (key == "app") {
-      if (!find_app(value)) return bad_value();
-      s.app = value;
-    } else if (key == "mode") {
-      const auto m = device::control_mode_from_keyword(value);
-      if (!m) return bad_value();
-      s.mode = *m;
-    } else if (key == "pipeline") {
-      std::string spec_error;
-      const auto ps = core::PipelineSpec::parse(value, &spec_error);
-      if (!ps) {
-        set_error(error,
-                  "line " + std::to_string(line_no) + ": " + spec_error);
-        return std::nullopt;
-      }
-      // Canonical rendering, so round-trip is byte-exact regardless of the
-      // input's spacing.
-      s.pipeline = ps->to_string();
-    } else if (key == "duration_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms <= 0 || *ms > 600'000) return bad_value();
-      s.duration_ms = *ms;
-    } else if (key == "seed") {
-      const auto v = parse_u64_strict(value);
-      if (!v) return bad_value();
-      s.seed = *v;
-    } else if (key == "grid") {
-      if (!parse_grid(value)) return bad_value();
-      s.grid = value;
-    } else if (key == "eval_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms <= 0 || *ms > 10'000) return bad_value();
-      s.eval_ms = *ms;
-    } else if (key == "boost_hold_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > 60'000) return bad_value();
-      s.boost_hold_ms = *ms;
-    } else if (key == "meter_window_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms <= 0 || *ms > 60'000) return bad_value();
-      s.meter_window_ms = *ms;
-    } else if (key == "alpha") {
-      const auto a = parse_double_strict(value);
-      if (!a || *a < 0.0 || *a > 1.0) return bad_value();
-      s.alpha = *a;
-    } else if (key == "rates") {
-      const auto r = parse_rate_list(value);
-      if (!r) return bad_value();
-      s.rates = *r;
-    } else if (key == "baseline_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz < 0 || *hz > 1000) return bad_value();
-      s.baseline_hz = static_cast<int>(*hz);
-    } else if (key == "min_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz < 0 || *hz > 1000) return bad_value();
-      s.min_hz = static_cast<int>(*hz);
-    } else if (key == "boost_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz < 0 || *hz > 1000) return bad_value();
-      s.boost_hz = static_cast<int>(*hz);
-    } else if (key == "fast_rate_up") {
-      const auto b = parse_bool_strict(value);
-      if (!b) return bad_value();
-      s.fast_rate_up = *b;
-    } else if (key == "fault_scale") {
-      const auto f = parse_double_strict(value);
-      if (!f || *f < 0.0 || *f > 100.0) return bad_value();
-      s.fault_scale = *f;
-    } else if (key == "fault_until_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > 600'000) return bad_value();
-      s.fault_until_ms = *ms;
-    } else if (key == "fault_classes") {
-      const auto fc = parse_fault_classes(value);
-      if (!fc) return bad_value();
-      s.fault_classes = *fc;
-    } else if (key == "pressure_scale") {
-      const auto f = parse_double_strict(value);
-      if (!f || *f < 0.0 || *f > 100.0) return bad_value();
-      s.pressure_scale = *f;
-    } else if (key == "pressure_until_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0 || *ms > 600'000) return bad_value();
-      s.pressure_until_ms = *ms;
-    } else if (key == "pressure_classes") {
-      const auto pc = parse_pressure_classes(value);
-      if (!pc) return bad_value();
-      s.pressure_classes = *pc;
-    } else if (key == "fleet") {
-      const auto b = parse_bool_strict(value);
-      if (!b) return bad_value();
-      s.fleet = *b;
-    } else {
-      set_error(error,
-                "line " + std::to_string(line_no) + ": unknown key '" + key +
-                    "'");
-      return std::nullopt;
-    }
-  }
-  if (!have_schema) {
-    set_error(error, "missing required key 'schema'");
-    return std::nullopt;
-  }
-  // Cross-field validation, as in config_io: rung references must be in the
-  // ladder (keys may arrive in any order, so this runs after the whole
-  // parse).
-  const display::RefreshRateSet ladder{s.rates};
-  const auto check_in_rates = [&](const char* key, int hz) {
-    if (hz > 0 && !ladder.supports(hz)) {
-      set_error(error, std::string(key) + " = " + std::to_string(hz) +
-                           " is not in the configured rate set");
-      return false;
-    }
-    return true;
-  };
-  if (!check_in_rates("baseline_hz", s.baseline_hz) ||
-      !check_in_rates("min_hz", s.min_hz) ||
-      !check_in_rates("boost_hz", s.boost_hz)) {
-    return std::nullopt;
-  }
-  if (s.mode == device::ControlMode::kPipeline && s.pipeline.empty()) {
-    set_error(error, "mode = pipeline requires a 'pipeline' key");
-    return std::nullopt;
-  }
-  if (s.mode != device::ControlMode::kPipeline && !s.pipeline.empty()) {
-    set_error(error, "'pipeline' is only valid with mode = pipeline");
+  if (!sim::kv::parse(text, fields(), s, error)) return std::nullopt;
+  if (const auto why = harness::cross_field_error(
+          s.mode, !s.pipeline.empty(), s.rates, s.baseline_hz, s.min_hz,
+          s.boost_hz)) {
+    if (error != nullptr) *error = *why;
     return std::nullopt;
   }
   // A clean scenario must not carry fault-only keys into the canonical form.

@@ -5,11 +5,12 @@
 // field is serializable text -- and expands into a harness::ExperimentConfig
 // on demand, so replaying a repro needs nothing beyond this file's parser.
 //
-// Serialization is the repo's strict key=value dialect (config_io's rules:
-// whole-value numeric parses, no NaN/inf, unknown keys rejected) under the
-// `schema = ccdem-repro-v1` header, with the optional shrunk touch script
-// embedded between `begin_script` / `end_script` markers in the script_io
-// line format.  Round-trip is exact: parse(to_string(s)) == s.
+// Serialization follows the repo's key = value rules (sim/kv_text.h:
+// whole-value numeric parses, no NaN/inf, unknown and duplicated keys
+// rejected) under the `schema = ccdem-repro-v1` header, with the optional
+// shrunk touch script embedded between `begin_script` / `end_script`
+// markers in the script_io line format.  One field table drives parse and
+// serialize, so round-trip is exact: parse(to_string(s)) == s.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "gfx/compare.h"
 
@@ -15,6 +16,30 @@ std::string GridSpec::label() const {
   }
   return std::to_string(n) + " (" + std::to_string(cols) + "x" +
          std::to_string(rows) + ")";
+}
+
+namespace {
+constexpr std::pair<const char*, GridSpec> kGridKeywords[] = {
+    {"2k", GridSpec::grid_2k()},
+    {"4k", GridSpec::grid_4k()},
+    {"9k", GridSpec::grid_9k()},
+    {"36k", GridSpec::grid_36k()},
+    {"full", GridSpec::full_720p()},
+};
+}  // namespace
+
+std::optional<GridSpec> GridSpec::from_keyword(std::string_view keyword) {
+  for (const auto& [k, grid] : kGridKeywords) {
+    if (keyword == k) return grid;
+  }
+  return std::nullopt;
+}
+
+const char* GridSpec::keyword() const {
+  for (const auto& [k, grid] : kGridKeywords) {
+    if (grid.sample_count() == sample_count()) return k;
+  }
+  return "full";
 }
 
 std::vector<GridSpec> GridSpec::figure6_sweep() {

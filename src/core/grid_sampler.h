@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gfx/framebuffer.h"
@@ -28,11 +30,17 @@ struct GridSpec {
   }
   [[nodiscard]] std::string label() const;
 
-  static GridSpec grid_2k() { return {36, 64}; }
-  static GridSpec grid_4k() { return {48, 85}; }
-  static GridSpec grid_9k() { return {72, 128}; }
-  static GridSpec grid_36k() { return {144, 256}; }
-  static GridSpec full_720p() { return {720, 1280}; }
+  static constexpr GridSpec grid_2k() { return {36, 64}; }
+  static constexpr GridSpec grid_4k() { return {48, 85}; }
+  static constexpr GridSpec grid_9k() { return {72, 128}; }
+  static constexpr GridSpec grid_36k() { return {144, 256}; }
+  static constexpr GridSpec full_720p() { return {720, 1280}; }
+
+  /// The text formats' grid keyword: 2k | 4k | 9k | 36k | full.
+  static std::optional<GridSpec> from_keyword(std::string_view keyword);
+  /// The keyword of the standard grid with this sample count; "full" for
+  /// any other grid.
+  [[nodiscard]] const char* keyword() const;
 
   /// The five configurations of Fig. 6, coarsest first.
   static std::vector<GridSpec> figure6_sweep();

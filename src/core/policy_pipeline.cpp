@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/policy_stages.h"
+#include "sim/kv_text.h"
 
 namespace ccdem::core {
 
@@ -198,31 +199,13 @@ std::optional<PipelineSpec> PipelineSpec::parse(std::string_view text,
     if (error != nullptr) *error = "pipeline spec is empty";
     return std::nullopt;
   }
-  const auto trim = [](std::string_view s) {
-    while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-      s.remove_prefix(1);
-    }
-    while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-      s.remove_suffix(1);
-    }
-    return s;
-  };
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string_view token = trim(
-        text.substr(pos, comma == std::string_view::npos ? std::string_view::npos
-                                                         : comma - pos));
+  for (const std::string& token : sim::kv::split_list(text)) {
     const std::optional<StageId> id = stage_from_keyword(token);
     if (!id) {
-      if (error != nullptr) {
-        *error = "unknown pipeline stage '" + std::string(token) + "'";
-      }
+      if (error != nullptr) *error = "unknown pipeline stage '" + token + "'";
       return std::nullopt;
     }
     spec.stages.push_back(*id);
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
   }
   if (const std::optional<std::string> err = spec.validate()) {
     if (error != nullptr) *error = *err;

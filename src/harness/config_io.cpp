@@ -1,280 +1,172 @@
 #include "harness/config_io.h"
 
-#include <algorithm>
-#include <cctype>
-#include <charconv>
-#include <cmath>
-#include <sstream>
-#include <vector>
+#include <functional>
+#include <istream>
+#include <iterator>
+
+#include "sim/kv_text.h"
 
 namespace ccdem::harness {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
+using F = sim::kv::Field<ExperimentConfig>;
+using sim::kv::parse_as;
+
+/// A duration written as a whole number (>= lo) of `unit`.
+template <class Acc>
+F duration(std::string_view key, Acc acc, sim::Duration unit, int lo) {
+  return {key,
+          [=](ExperimentConfig& c, std::string_view v, std::string&) {
+            const auto n = parse_as<int>(v);
+            if (!n || *n < lo) return false;
+            std::invoke(acc, c) = unit * *n;
+            return true;
+          },
+          [=](const ExperimentConfig& c) {
+            return std::to_string(std::invoke(acc, c).ticks / unit.ticks);
+          }};
 }
 
-// Strict numeric parsing: the whole value must be consumed (no "12abc", no
-// empty string) and doubles must be finite ("nan" passes a `< 0 || > 1`
-// range check because every NaN comparison is false -- the atof-era parser
-// accepted it).
-std::optional<long long> parse_int_strict(const std::string& v) {
-  long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
+/// A rate-ladder rung; 0 (unset) is not written.
+template <class Acc>
+F rung(std::string_view key, Acc acc) {
+  return F::num(key, acc, 1, 1000, [=](const ExperimentConfig& c) {
+    return std::invoke(acc, c) > 0;
+  });
 }
 
-std::optional<unsigned long long> parse_u64_strict(const std::string& v) {
-  unsigned long long out = 0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  return out;
+/// Copies the pressure half of a plan, which fault_scale never sets.
+void set_pressure(fault::FaultPlan& to, const fault::FaultPlan& from) {
+  to.thermal_per_s = from.thermal_per_s;
+  to.brownout_per_s = from.brownout_per_s;
+  to.jitter_per_s = from.jitter_per_s;
 }
 
-std::optional<double> parse_double_strict(const std::string& v) {
-  double out = 0.0;
-  const char* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || v.empty()) return std::nullopt;
-  if (!std::isfinite(out)) return std::nullopt;
-  return out;
-}
-
-/// Comma-separated list of strictly-positive refresh rates.
-std::optional<std::vector<int>> parse_rate_list(const std::string& v) {
-  std::vector<int> rates;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const auto comma = v.find(',', pos);
-    const std::string item =
-        trim(v.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos));
-    const auto hz = parse_int_strict(item);
-    if (!hz || *hz <= 0 || *hz > 1000) return std::nullopt;
-    rates.push_back(static_cast<int>(*hz));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (rates.empty()) return std::nullopt;
-  return rates;
-}
-
-bool set_error(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-  return false;
-}
-
-std::optional<core::GridSpec> parse_grid(const std::string& v) {
-  if (v == "2k") return core::GridSpec::grid_2k();
-  if (v == "4k") return core::GridSpec::grid_4k();
-  if (v == "9k") return core::GridSpec::grid_9k();
-  if (v == "36k") return core::GridSpec::grid_36k();
-  if (v == "full") return core::GridSpec::full_720p();
-  return std::nullopt;
-}
-
-std::string grid_keyword(const core::GridSpec& g) {
-  const auto n = g.sample_count();
-  if (n == core::GridSpec::grid_2k().sample_count()) return "2k";
-  if (n == core::GridSpec::grid_4k().sample_count()) return "4k";
-  if (n == core::GridSpec::grid_9k().sample_count()) return "9k";
-  if (n == core::GridSpec::grid_36k().sample_count()) return "36k";
-  return "full";
+const std::vector<F>& fields() {
+  static const std::vector<F> kFields = {
+      // find_profile spans the paper's 30 apps, the accuracy-study
+      // wallpaper and the scene-demo profiles.
+      {"app",
+       [](ExperimentConfig& c, std::string_view v, std::string&) {
+         const auto spec = apps::find_profile(std::string(v));
+         if (spec) c.app = *spec;
+         return spec.has_value();
+       },
+       [](const ExperimentConfig& c) { return c.app.name; }, nullptr,
+       sim::kv::Kind::kRequired},
+      F::keyword("mode", &ExperimentConfig::mode,
+                 device::control_mode_from_keyword,
+                 device::control_mode_keyword),
+      {"pipeline",
+       [](ExperimentConfig& c, std::string_view v, std::string& why) {
+         const auto spec = core::PipelineSpec::parse(v, &why);
+         if (spec) c.pipeline = *spec;
+         return spec.has_value();
+       },
+       [](const ExperimentConfig& c) { return c.pipeline.to_string(); },
+       [](const ExperimentConfig& c) {
+         return c.mode == ControlMode::kPipeline;
+       }},
+      duration("seconds", &ExperimentConfig::duration, sim::seconds(1), 1),
+      F::num("seed", &ExperimentConfig::seed),
+      F::keyword(
+          "grid", [](auto& c) -> auto& { return c.dpm.meter.grid; },
+          &core::GridSpec::from_keyword, &core::GridSpec::keyword),
+      duration(
+          "eval_ms", [](auto& c) -> auto& { return c.dpm.meter.eval_period; },
+          sim::milliseconds(1), 1),
+      duration(
+          "boost_hold_ms", [](auto& c) -> auto& { return c.dpm.boost_hold; },
+          sim::milliseconds(1), 0),
+      F::num(
+          "alpha", [](auto& c) -> auto& { return c.dpm.section_alpha; }, 0.0,
+          1.0),
+      {"rates",
+       [](ExperimentConfig& c, std::string_view v, std::string&) {
+         const auto r = sim::kv::parse_list(v, 1, 1000);
+         if (r) c.rates = display::RefreshRateSet(*r);
+         return r.has_value();
+       },
+       [](const ExperimentConfig& c) {
+         return sim::kv::join(c.rates.rates());
+       }},
+      rung("baseline_hz", &ExperimentConfig::baseline_hz),
+      rung("min_hz", [](auto& c) -> auto& { return c.dpm.min_hz; }),
+      rung("boost_hz", [](auto& c) -> auto& { return c.dpm.boost_hz; }),
+      // Parse-only: each scale expands into its half of the FaultPlan and
+      // keeps the other half, so the two compose in either order.
+      {"fault_scale",
+       [](ExperimentConfig& c, std::string_view v, std::string&) {
+         const auto f = parse_as<double>(v);
+         if (!f || *f < 0.0) return false;
+         fault::FaultPlan plan = *f > 0.0
+                                     ? fault::FaultPlan::nominal().scaled(*f)
+                                     : fault::FaultPlan{};
+         set_pressure(plan, c.fault);
+         c.fault = plan;
+         return true;
+       },
+       nullptr},
+      {"pressure_scale",
+       [](ExperimentConfig& c, std::string_view v, std::string&) {
+         const auto f = parse_as<double>(v);
+         if (!f || *f < 0.0) return false;
+         set_pressure(c.fault,
+                      fault::FaultPlan::pressure_nominal().scaled(*f));
+         return true;
+       },
+       nullptr},
+  };
+  return kFields;
 }
 
 }  // namespace
 
+std::optional<std::string> cross_field_error(ControlMode mode,
+                                             bool has_pipeline,
+                                             const std::vector<int>& rates,
+                                             int baseline_hz, int min_hz,
+                                             int boost_hz) {
+  if (mode == ControlMode::kPipeline && !has_pipeline) {
+    return "mode = pipeline requires a 'pipeline' key";
+  }
+  if (has_pipeline && mode != ControlMode::kPipeline) {
+    return "'pipeline' is only valid with mode = pipeline";
+  }
+  const display::RefreshRateSet ladder{rates};
+  for (const auto& [key, hz] : {std::pair{"baseline_hz", baseline_hz},
+                                {"min_hz", min_hz},
+                                {"boost_hz", boost_hz}}) {
+    if (hz > 0 && !ladder.supports(hz)) {
+      return std::string(key) + " = " + std::to_string(hz) +
+             " is not in the configured rate set";
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<ExperimentConfig> parse_experiment_config(std::istream& is,
                                                         std::string* error) {
+  return parse_experiment_config_string(
+      std::string(std::istreambuf_iterator<char>(is), {}), error);
+}
+
+std::optional<ExperimentConfig> parse_experiment_config_string(
+    const std::string& text, std::string* error) {
   ExperimentConfig config;
-  bool have_app = false;
-  bool have_pipeline = false;
-  // Applied after the loop so 'fault_scale' (which rebuilds the whole plan)
-  // and 'pressure_scale' compose regardless of key order.
-  double pressure_scale = 0.0;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (trim(line).empty()) continue;
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      set_error(error, "line " + std::to_string(line_no) + ": expected '='");
-      return std::nullopt;
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    const auto bad_value = [&] {
-      set_error(error, "line " + std::to_string(line_no) + ": bad value '" +
-                           value + "' for key '" + key + "'");
-      return std::nullopt;
-    };
-
-    if (key == "app") {
-      // find_profile spans the paper's 30 apps, the accuracy-study
-      // wallpaper and the scene-demo profiles.
-      const auto spec = apps::find_profile(value);
-      if (!spec) return bad_value();
-      config.app = *spec;
-      have_app = true;
-    } else if (key == "mode") {
-      const auto m = device::control_mode_from_keyword(value);
-      if (!m) return bad_value();
-      config.mode = *m;
-    } else if (key == "pipeline") {
-      if (have_pipeline) {
-        set_error(error, "line " + std::to_string(line_no) +
-                             ": duplicate key 'pipeline'");
-        return std::nullopt;
-      }
-      std::string spec_error;
-      const auto spec = core::PipelineSpec::parse(value, &spec_error);
-      if (!spec) {
-        set_error(error, "line " + std::to_string(line_no) +
-                             ": bad value for 'pipeline': " + spec_error);
-        return std::nullopt;
-      }
-      config.pipeline = *spec;
-      have_pipeline = true;
-    } else if (key == "seconds") {
-      const auto s = parse_int_strict(value);
-      if (!s || *s <= 0) return bad_value();
-      config.duration = sim::seconds(static_cast<int>(*s));
-    } else if (key == "seed") {
-      const auto s = parse_u64_strict(value);
-      if (!s) return bad_value();
-      config.seed = *s;
-    } else if (key == "grid") {
-      const auto g = parse_grid(value);
-      if (!g) return bad_value();
-      config.dpm.meter.grid = *g;
-    } else if (key == "eval_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms <= 0) return bad_value();
-      config.dpm.meter.eval_period = sim::milliseconds(static_cast<int>(*ms));
-    } else if (key == "boost_hold_ms") {
-      const auto ms = parse_int_strict(value);
-      if (!ms || *ms < 0) return bad_value();
-      config.dpm.boost_hold = sim::milliseconds(static_cast<int>(*ms));
-    } else if (key == "alpha") {
-      const auto a = parse_double_strict(value);
-      if (!a || *a < 0.0 || *a > 1.0) return bad_value();
-      config.dpm.section_alpha = *a;
-    } else if (key == "rates") {
-      const auto r = parse_rate_list(value);
-      if (!r) return bad_value();
-      config.rates = display::RefreshRateSet(*r);
-    } else if (key == "baseline_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz <= 0) return bad_value();
-      config.baseline_hz = static_cast<int>(*hz);
-    } else if (key == "min_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz <= 0) return bad_value();
-      config.dpm.min_hz = static_cast<int>(*hz);
-    } else if (key == "boost_hz") {
-      const auto hz = parse_int_strict(value);
-      if (!hz || *hz <= 0) return bad_value();
-      config.dpm.boost_hz = static_cast<int>(*hz);
-    } else if (key == "fault_scale") {
-      const auto f = parse_double_strict(value);
-      if (!f || *f < 0.0) return bad_value();
-      config.fault = *f > 0.0 ? fault::FaultPlan::nominal().scaled(*f)
-                              : fault::FaultPlan{};
-    } else if (key == "pressure_scale") {
-      const auto f = parse_double_strict(value);
-      if (!f || *f < 0.0) return bad_value();
-      pressure_scale = *f;
-    } else {
-      set_error(error, "line " + std::to_string(line_no) +
-                           ": unknown key '" + key + "'");
-      return std::nullopt;
-    }
-  }
-  if (!have_app) {
-    set_error(error, "missing required key 'app'");
-    return std::nullopt;
-  }
-  if (pressure_scale > 0.0) {
-    const fault::FaultPlan p =
-        fault::FaultPlan::pressure_nominal().scaled(pressure_scale);
-    config.fault.thermal_per_s = p.thermal_per_s;
-    config.fault.brownout_per_s = p.brownout_per_s;
-    config.fault.jitter_per_s = p.jitter_per_s;
-  }
-  // Keys may appear in any order, so the mode <-> pipeline pairing is
-  // checked once the whole file is read.
-  if (config.mode == ControlMode::kPipeline && !have_pipeline) {
-    set_error(error, "mode = pipeline requires a 'pipeline' key");
-    return std::nullopt;
-  }
-  if (have_pipeline && config.mode != ControlMode::kPipeline) {
-    set_error(error, "'pipeline' is only valid with mode = pipeline");
-    return std::nullopt;
-  }
-  // Cross-field validation (keys may appear in any order, so membership in
-  // the rate ladder is checked once the whole file is read).
-  const auto check_in_rates = [&](const char* key, int hz) {
-    if (hz > 0 && !config.rates.supports(hz)) {
-      set_error(error, std::string(key) + " = " + std::to_string(hz) +
-                           " is not in the configured rate set");
-      return false;
-    }
-    return true;
-  };
-  if (!check_in_rates("baseline_hz", config.baseline_hz) ||
-      !check_in_rates("min_hz", config.dpm.min_hz) ||
-      !check_in_rates("boost_hz", config.dpm.boost_hz)) {
+  if (!sim::kv::parse(text, fields(), config, error)) return std::nullopt;
+  if (const auto why = cross_field_error(
+          config.mode, !config.pipeline.empty(), config.rates.rates(),
+          config.baseline_hz, config.dpm.min_hz, config.dpm.boost_hz)) {
+    if (error != nullptr) *error = *why;
     return std::nullopt;
   }
   return config;
 }
 
-std::optional<ExperimentConfig> parse_experiment_config_string(
-    const std::string& text, std::string* error) {
-  std::istringstream is(text);
-  return parse_experiment_config(is, error);
-}
-
 std::string experiment_config_to_string(const ExperimentConfig& config) {
-  std::ostringstream os;
-  os << "app = " << config.app.name << "\n";
-  os << "mode = " << device::control_mode_keyword(config.mode) << "\n";
-  if (config.mode == ControlMode::kPipeline) {
-    os << "pipeline = " << config.pipeline.to_string() << "\n";
-  }
-  os << "seconds = " << config.duration.ticks / sim::kTicksPerSecond << "\n";
-  os << "seed = " << config.seed << "\n";
-  os << "grid = " << grid_keyword(config.dpm.meter.grid) << "\n";
-  os << "eval_ms = "
-     << config.dpm.meter.eval_period.ticks / sim::kTicksPerMillisecond << "\n";
-  os << "boost_hold_ms = "
-     << config.dpm.boost_hold.ticks / sim::kTicksPerMillisecond << "\n";
-  os << "alpha = " << config.dpm.section_alpha << "\n";
-  os << "rates = ";
-  for (std::size_t i = 0; i < config.rates.count(); ++i) {
-    if (i != 0) os << ",";
-    os << config.rates.at(i);
-  }
-  os << "\n";
-  if (config.baseline_hz > 0) {
-    os << "baseline_hz = " << config.baseline_hz << "\n";
-  }
-  if (config.dpm.min_hz > 0) os << "min_hz = " << config.dpm.min_hz << "\n";
-  if (config.dpm.boost_hz > 0) {
-    os << "boost_hz = " << config.dpm.boost_hz << "\n";
-  }
-  return os.str();
+  return sim::kv::write(fields(), config);
 }
 
 }  // namespace ccdem::harness

@@ -88,6 +88,33 @@ TEST(CampaignSpec, ListElementsAreTrimmedButKeepInteriorSpaces) {
   EXPECT_EQ(spec->seeds, (std::vector<std::uint64_t>{1, 2}));
 }
 
+TEST(CampaignSpec, CommentsFollowTheSharedRules) {
+  // `#` starts a comment anywhere on a line, including after a value and
+  // on an indented line.
+  const std::string text =
+      "schema = ccdem-campaign-v1\n"
+      "  # an indented comment\n"
+      "apps = Facebook   # the app axis\n"
+      "seeds = 1, 2\n"
+      "shards = 4 # four\n";
+  std::string error;
+  const auto spec = CampaignSpec::parse(text, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->apps, (std::vector<std::string>{"Facebook"}));
+  EXPECT_EQ(spec->shards, 4);
+}
+
+TEST(CampaignSpec, NumbersParseWhole) {
+  // from_chars rules: no hex floats, no leading '+'.
+  const std::string head = "schema = ccdem-campaign-v1\n";
+  for (const char* bad : {"fault_scales = 0x1p0\n", "fault_scales = +1.5\n",
+                          "duration_ms = +400\n", "seeds = 0x10\n"}) {
+    std::string error;
+    EXPECT_FALSE(CampaignSpec::parse(head + bad, &error).has_value()) << bad;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << error;
+  }
+}
+
 TEST(CampaignSpec, ValidateRejectsBadAxes) {
   CampaignSpec spec = tiny_spec();
   spec.apps = {"NoSuchApp"};
@@ -297,6 +324,16 @@ TEST(Sidecars, ProgressAndFailRoundTrip) {
   ASSERT_TRUE(fback.has_value());
   EXPECT_EQ(fback->index, 17u);
   EXPECT_EQ(fback->reason, f.reason);
+}
+
+TEST(Sidecars, NegativeIndicesAreRejected) {
+  // A u64 field must not read "-1" as 2^64 - 1.
+  std::string progress = progress_to_string(2, {5});
+  progress.replace(progress.find(" 5"), 2, " -1");
+  EXPECT_FALSE(parse_progress(progress).has_value()) << progress;
+  std::string fail = fail_to_string(FailSidecar{17, "oracle: x"});
+  fail.replace(fail.find("17"), 2, "-3");
+  EXPECT_FALSE(parse_fail(fail).has_value()) << fail;
 }
 
 TEST(Files, AtomicSaveAndLoad) {
@@ -633,6 +670,35 @@ TEST(Campaign, CrashingScenarioIsQuarantinedWithARepro) {
   EXPECT_NE(repro.find("# failure:"), std::string::npos);
   std::string error;
   EXPECT_TRUE(check::parse_scenario(repro, &error).has_value()) << error;
+}
+
+// A progress sidecar naming an index outside the matrix (a damaged file)
+// must be skipped, not handed to scenario_at for crash isolation.
+TEST(Campaign, OutOfRangeProgressIndexIsSkipped) {
+  testing::TempDir tmp;
+  ASSERT_TRUE(tmp.ok());
+  const CampaignSpec spec = tiny_spec();
+  const std::uint64_t victim = 4;
+  const auto progress =
+      tmp.file(shard_progress_name(shard_of(victim, spec.shards)));
+  const auto marker = tmp.file("killed_once");
+
+  CampaignOptions opts;
+  opts.workers = 1;
+  opts.worker.threads = 1;
+  opts.worker.chunk = 1;
+  // First launch only: replace the sidecar with an out-of-range index,
+  // then die as a crashed worker would.
+  opts.worker.run_hook = [&](std::uint64_t index) {
+    if (index != victim || std::filesystem::exists(marker)) return;
+    (void)save_file_atomic(marker, "1\n");
+    (void)save_file_atomic(progress, progress_to_string(0, {spec.size() + 7}));
+    std::raise(SIGKILL);
+  };
+  const CampaignResult result = run_campaign(spec, tmp.path(), opts);
+  ASSERT_TRUE(result.complete) << result.error;
+  EXPECT_TRUE(result.quarantined.empty());
+  EXPECT_EQ(result.runs, spec.size());
 }
 
 }  // namespace

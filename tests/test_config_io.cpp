@@ -272,6 +272,26 @@ TEST(ConfigIo, RoundTrips) {
   EXPECT_EQ(back->baseline_hz, config.baseline_hz);
   EXPECT_EQ(back->dpm.min_hz, config.dpm.min_hz);
   EXPECT_EQ(back->dpm.boost_hz, config.dpm.boost_hz);
+
+  // alpha is written as the shortest decimal that reads back exactly, not
+  // rounded to six significant digits.
+  config.dpm.section_alpha = 0.123456789;
+  const std::string text = experiment_config_to_string(config);
+  EXPECT_NE(text.find("alpha = 0.123456789\n"), std::string::npos) << text;
+  const auto precise = parse_experiment_config_string(text);
+  ASSERT_TRUE(precise.has_value());
+  EXPECT_EQ(precise->dpm.section_alpha, 0.123456789);
+  EXPECT_EQ(experiment_config_to_string(*precise), text);
+}
+
+TEST(ConfigIo, RejectsDuplicateKeys) {
+  // A repeated key is a conflict, not last-wins: the error names the key
+  // and the line of the second occurrence.
+  std::string error;
+  EXPECT_FALSE(parse_experiment_config_string(
+      "app = Facebook\nseed = 1\nseed = 2\n", &error));
+  EXPECT_NE(error.find("duplicate key 'seed'"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
 }
 
 TEST(ConfigIo, CommentsAndBlankLinesIgnored) {

@@ -137,6 +137,15 @@ TEST(ScenarioIo, RejectsMalformedInput) {
       "schema = ccdem-repro-v1\nbegin_script\ngarbage\nend_script\n", &error));
 }
 
+TEST(ScenarioIo, RejectsDuplicateKeys) {
+  // A repro with a key twice is ambiguous: rejected, naming key and line.
+  std::string error;
+  EXPECT_FALSE(parse_scenario(
+      "schema = ccdem-repro-v1\nseed = 1\nseed = 2\n", &error));
+  EXPECT_NE(error.find("duplicate key 'seed'"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+}
+
 TEST(ScenarioIo, UnknownAppIsReportedByCheck) {
   Scenario s;
   s.app = "No Such App";

@@ -196,6 +196,24 @@ TEST(SceneDsl, RejectsMalformedInput) {
   }
 }
 
+TEST(SceneDsl, RejectsDuplicateKeysButRepeatsStates) {
+  std::string error;
+  EXPECT_FALSE(scene_spec_from_string(
+      "schema = ccdem-scene-v1\nschema = ccdem-scene-v1\ntype = ui\n"
+      "state = idle dwell_ms=0 fps=1 next=0 touch=-1\n",
+      &error));
+  EXPECT_NE(error.find("duplicate key 'schema'"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // `state` is the one repeatable key: its lines are the ordered states.
+  const auto two = scene_spec_from_string(
+      "schema = ccdem-scene-v1\ntype = ui\n"
+      "state = idle dwell_ms=0 fps=1 next=0 touch=1\n"
+      "state = menu dwell_ms=5 fps=2 next=0 touch=-1\n",
+      &error);
+  ASSERT_TRUE(two) << error;
+  EXPECT_EQ(two->ui.states.size(), 2u);
+}
+
 TEST(SceneDsl, NonDslTypesHaveNoTextForm) {
   EXPECT_EQ(scene_spec_to_string(SceneSpec::video(24.0)), "");
 }
