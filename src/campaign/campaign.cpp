@@ -24,6 +24,8 @@ constexpr const char* kManifestSchema = "ccdem-campaign-manifest-v2";
 // v1 manifests checkpointed contiguous shard ranges; their done shard files
 // hold other indices than the same shard numbers do now.
 constexpr const char* kContiguousManifestSchema = "ccdem-campaign-manifest-v1";
+// Bound on CampaignSpec::shards, and so on a manifest's shard-row count.
+constexpr int kMaxShards = 100000;
 
 using F = sim::kv::Field<CampaignSpec>;
 
@@ -62,7 +64,7 @@ const std::vector<F>& fields() {
       F::num("ab", &CampaignSpec::ab),
       F::num("record_spans", &CampaignSpec::record_spans),
       F::num("oracles", &CampaignSpec::oracles),
-      F::num("shards", &CampaignSpec::shards, 1, 100000),
+      F::num("shards", &CampaignSpec::shards, 1, kMaxShards),
   };
   return kFields;
 }
@@ -325,7 +327,9 @@ std::optional<Manifest> Manifest::parse(const std::string& text,
       m.scenarios = *n;
     } else if (key == "shards") {
       const auto n = sim::kv::parse_as<int>(value);
-      if (!n || *n < 1) return fail(line_no, "bad shard count");
+      if (!n || *n < 1 || *n > kMaxShards) {
+        return fail(line_no, "bad shard count");
+      }
       m.shards = *n;
       m.shard_rows.assign(static_cast<std::size_t>(m.shards), Shard{});
     } else if (key.rfind("shard ", 0) == 0) {
@@ -368,7 +372,10 @@ std::optional<Manifest> Manifest::parse(const std::string& text,
           s.bytes = *n;
         } else if (k == "attempts") {
           const auto n = sim::kv::parse_as<std::uint64_t>(v);
-          if (!n) return fail(line_no, "bad attempts count");
+          if (!n || *n > static_cast<std::uint64_t>(
+                            std::numeric_limits<int>::max())) {
+            return fail(line_no, "bad attempts count");
+          }
           s.attempts = static_cast<int>(*n);
         } else {
           return fail(line_no, "unknown shard field '" + k + "'");

@@ -77,7 +77,7 @@ bool ContentRateMeter::classify_sampled(const gfx::Framebuffer& fb,
     return meaningful;
   }
   // Damage-scoped pass: grid points outside the damage cannot have changed
-  // (the compositor reconciled everything else from the previous frame), so
+  // (the compositor wrote nothing else since the previous frame), so
   // only covered points are read -- and refreshed in place, which keeps the
   // whole snapshot equal to a full capture.  An empty damage region
   // classifies the frame redundant without touching any pixel.
@@ -127,9 +127,9 @@ bool ContentRateMeter::classify_full_frame(const gfx::Framebuffer& fb,
     retained_.blit(fb, fb.bounds(), gfx::Point{0, 0});
     return meaningful;
   }
-  // Damage-scoped: compare covered grid points, then reconcile the retained
-  // frame by copying only the damage -- the same trick the swapchain plays,
-  // so retained_ stays byte-identical to the current frame.
+  // Damage-scoped: compare covered grid points, then bring the retained
+  // frame up to date by copying only the damage, so retained_ stays
+  // byte-identical to the current frame.
   bool meaningful = false;
   for (const gfx::Rect& r : damage.rects()) {
     const GridSampler::ScanResult res =

@@ -4,20 +4,22 @@
 // minus the redundant frame rate.  The meter listens to every composition,
 // samples the framebuffer on a sparse grid, and compares against the
 // previous frame's retained samples (paper section 3.1: double buffering +
-// grid-based comparison).  A sliding window (default 1 s, matching the
-// per-second definition) turns per-frame meaningful/redundant
-// classifications into a rate.
+// grid-based comparison).  The paper's back buffer is this retained
+// snapshot -- the sampled grid, or in full-frame mode a whole framebuffer --
+// so the compositor keeps no second screen buffer.  A sliding window
+// (default 1 s, matching the per-second definition) turns per-frame
+// meaningful/redundant classifications into a rate.
 //
-// Host-side cost is damage-scoped: the compositor reconciles its back
-// buffer to the previous frame before composing, so the current frame can
-// only differ from the last one inside FrameInfo::damage.  Grid points
-// outside the damage are provably unchanged and are skipped (counted in
-// meter.pixels_compare_skipped); an empty-damage frame is classified
-// redundant without touching a single pixel.  The *modeled* comparison cost
-// (compare_cost_per_frame_ms) deliberately stays a function of the full
-// grid size -- it represents the instrumented device of the paper, not this
-// simulator's shortcut -- so classifications, rates, and power results are
-// bit-identical with culling on or off.
+// Host-side cost is damage-scoped: the compositor composes in place and
+// writes only FrameInfo::damage, so the current frame can only differ from
+// the last one inside it.  Grid points outside the damage are provably
+// unchanged and are skipped (counted in meter.pixels_compare_skipped); an
+// empty-damage frame is classified redundant without touching a single
+// pixel.  The *modeled* comparison cost (compare_cost_per_frame_ms)
+// deliberately stays a function of the full grid size -- it represents the
+// instrumented device of the paper, not this simulator's shortcut -- so
+// classifications, rates, and power results are bit-identical with culling
+// on or off.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,7 @@
 //
 // A device is reusable: configure() again for the next run.  Constructed
 // with `use_buffer_pool = true` the device keeps a gfx::BufferPool whose
-// storage (swapchain, surfaces, meter snapshots -- several MB per run)
+// storage (screen buffer, surfaces, meter snapshots -- several MB per run)
 // carries across configure() calls; contents are always re-initialised, so
 // pooled runs are bit-identical to fresh-device runs.
 #pragma once

@@ -1,7 +1,7 @@
 // BufferPool: recycles pixel-buffer storage across runs.
 //
 // A simulated device allocates several megabytes of framebuffers per run
-// (swapchain pair, per-app surfaces, meter sample snapshots).  Fleet sweeps
+// (screen buffer, per-app surfaces, meter sample snapshots).  Fleet sweeps
 // re-create the whole device for every config, so without recycling each of
 // the 90 runs behind Fig. 9 pays those allocations again.  The pool keeps
 // released storage on a bounded free list and hands it back on the next

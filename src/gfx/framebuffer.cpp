@@ -157,17 +157,6 @@ bool Framebuffer::region_equals(const Framebuffer& other, Rect r) const {
   return kernels::rows_equal(pixels_.data(), other.pixels_.data(), width_, c);
 }
 
-std::uint64_t Framebuffer::content_hash() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  const auto* bytes = reinterpret_cast<const unsigned char*>(pixels_.data());
-  const std::size_t n = pixels_.size() * sizeof(Rgb888);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
-}
-
 std::uint64_t Framebuffer::fast_hash() const {
   return hash_bytes(pixels_.data(), pixels_.size() * sizeof(Rgb888));
 }

@@ -94,13 +94,8 @@ class Framebuffer {
   /// True iff pixels inside `r` (clipped) all match.  Sizes must match.
   [[nodiscard]] bool region_equals(const Framebuffer& other, Rect r) const;
 
-  /// FNV-1a hash over the raw pixel data; cheap change fingerprint in tests.
-  [[nodiscard]] std::uint64_t content_hash() const;
-
-  /// Fast 64-bit fingerprint of the whole buffer (gfx/hash.h mixer).  An
-  /// order of magnitude quicker than content_hash; used for the per-frame
-  /// stream hashes the DST oracles compare.  Deliberately a different
-  /// algorithm so the two fingerprints cross-check each other in tests.
+  /// Fast 64-bit fingerprint of the whole buffer (gfx/hash.h mixer); used
+  /// for the per-frame stream hashes the DST oracles compare.
   [[nodiscard]] std::uint64_t fast_hash() const;
 
  private:

@@ -6,7 +6,7 @@
 //      scalar and SIMD runs, serial and fleet, Linux and anywhere else.
 //      So: scalar-only, u64-chunked, no dispatch.
 //   2. Fast enough to run over every composed tile (an order of magnitude
-//      faster than the old byte-at-a-time FNV-1a content_hash).
+//      faster than a byte-at-a-time FNV-1a).
 //   3. Well mixed.  NOT required to be collision-free: every memoization
 //      hit is re-verified byte-for-byte, so a collision costs one compare,
 //      never correctness (and the DST collision-injection test forces the

@@ -10,7 +10,7 @@ namespace ccdem::gfx {
 SurfaceFlinger::SurfaceFlinger(Size screen, BufferPool* pool)
     : screen_(screen),
       pool_(pool),
-      chain_(screen, pool),
+      screen_fb_(screen, pool),
       tiles_(screen),
       frame_ring_(kFrameRing, 0) {
   assert(!screen.empty());
@@ -61,9 +61,10 @@ void SurfaceFlinger::set_obs(obs::ObsSink* obs) {
 
 bool SurfaceFlinger::region_differs(const Surface& s, Rect dirty) const {
   // `dirty` is surface-local; translate into screen space and compare the
-  // surface's pixels with what is currently on screen (the front buffer),
-  // row span against row span.
-  const Framebuffer& displayed = chain_.front();
+  // surface's pixels with the screen buffer, row span against row span.
+  // Called only while the frame has changed nothing, so the screen buffer
+  // still holds frame N-1.
+  const Framebuffer& displayed = screen_fb_;
   const int sx = s.screen_rect().x;
   const int sy = s.screen_rect().y;
   const Rect screen_rect =
@@ -77,21 +78,20 @@ bool SurfaceFlinger::region_differs(const Surface& s, Rect dirty) const {
 }
 
 bool SurfaceFlinger::compose_rect_memo(const Surface& s, Rect screen_rect,
-                                       Framebuffer& target, FrameInfo& info,
-                                       Region& damage) {
+                                       FrameInfo& info, Region& damage) {
   // The rect is walked tile by tile.  For every tile intersection the write
-  // is elided when the surface bytes already match the back buffer -- which
-  // begin_frame reconciled to the displayed frame, so "matches the back" is
-  // "already on screen" until an earlier rect of this same frame overwrote
-  // it, in which case matching the back still yields the correct final
-  // frame.  Full tiles go through the hash cache first: a differing hash
-  // proves a change without touching pixels, an equal hash is verified
+  // is elided when the surface bytes already match the screen buffer -- so
+  // "matches" is "already on screen" until an earlier rect of this same
+  // frame overwrote it, in which case matching still yields the correct
+  // final frame.  Full tiles go through the hash cache first: a differing
+  // hash proves a change without touching pixels, an equal hash is verified
   // byte-for-byte before the write is skipped (collisions are counted, not
   // trusted).
   //
   // content_changed stays *exact* under this scheme: before the first write
-  // of a frame the back buffer equals the front everywhere, so "some tile
-  // write happened" is equivalent to the old region_differs-vs-front check.
+  // of a frame the screen buffer still holds frame N-1 everywhere, so "some
+  // tile write happened" is equivalent to region_differs.
+  Framebuffer& target = screen_fb_;
   const Framebuffer& src = s.buffer();
   const int sx = s.screen_rect().x;
   const int sy = s.screen_rect().y;
@@ -151,9 +151,9 @@ bool SurfaceFlinger::compose_rect_memo(const Surface& s, Rect screen_rect,
         //    never correctness.
         //  - hash miss on a valid entry: provably changed.  The stored hash
         //    describes the bytes this tile holds on screen (stored at its
-        //    last full-tile compose, invalidated by partial overwrites, and
-        //    the back buffer is reconciled to the front), and the hash is a
-        //    pure function of the bytes -- equal bytes cannot hash apart.
+        //    last full-tile compose, invalidated by partial overwrites), and
+        //    the hash is a pure function of the bytes -- equal bytes cannot
+        //    hash apart.
         //    So copy straight away, without reading the target at all.
         //  - no valid entry: fall back to the byte compare.
         const std::uint64_t h =
@@ -216,12 +216,9 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
   info.seq = ++frame_seq_;
   info.composed_at = t;
 
-  // Render into the swapchain's back buffer (reconciled to the previous
-  // frame by begin_frame); the front buffer keeps displaying frame N-1 and
-  // doubles as the comparison reference.
-  Framebuffer& target = chain_.begin_frame();
-  info.reconciled_pixels = chain_.last_reconciled_pixels();
-
+  // Compose in place.  While content_changed is false every write so far
+  // was byte-equal, so the screen buffer still holds frame N-1 and is the
+  // comparison reference; pixels outside the damage are never touched.
   const MemoStats memo_before = memo_;
   bool any_dirty = false;
   Region damage;
@@ -248,7 +245,7 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
       if (screen_rect.empty()) continue;
 
       if (tile_memo_) {
-        if (compose_rect_memo(*s, screen_rect, target, info, damage) &&
+        if (compose_rect_memo(*s, screen_rect, info, damage) &&
             exact_change_) {
           info.content_changed = true;
         }
@@ -259,7 +256,7 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
         }
         const Point dst{s->screen_rect().x + local_rect.x,
                         s->screen_rect().y + local_rect.y};
-        target.blit(s->buffer(), local_rect, dst);
+        screen_fb_.blit(s->buffer(), local_rect, dst);
         info.dirty = info.dirty.join(screen_rect);
         memo_.pixels_written += static_cast<std::uint64_t>(screen_rect.area());
         damage.add(screen_rect);
@@ -288,7 +285,6 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
     }
   }
 
-  chain_.present(damage);
   info.damage = std::move(damage);
 
   if (info.content_changed) ++content_frames_;
@@ -309,7 +305,7 @@ bool SurfaceFlinger::on_vsync(sim::Time t) {
   CCDEM_OBS_SPAN(obs_, obs::Phase::kCompose, t, sim::Duration{}, info.seq,
                  info.composed_pixels);
 
-  for (FrameListener* l : listeners_) l->on_frame(info, chain_.front());
+  for (FrameListener* l : listeners_) l->on_frame(info, screen_fb_);
   return true;
 }
 

@@ -7,6 +7,12 @@
 // recopying unchanged pixels, and it optionally performs an exact
 // changed-pixel check over the dirty region so experiments have pixel-true
 // ground truth for "meaningful vs redundant frame".
+//
+// Frame N is composed in place into the one screen buffer that holds frame
+// N-1.  No second buffer is kept: the previous frame the paper's meter
+// compares against (its "double buffering", section 3.1) is the meter's own
+// retained snapshot, and the flinger's change check needs only the pixels
+// it has not yet overwritten -- see on_vsync.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +24,6 @@
 #include "gfx/geometry.h"
 #include "gfx/region.h"
 #include "gfx/surface.h"
-#include "gfx/swapchain.h"
 #include "gfx/tile_cache.h"
 #include "obs/obs.h"
 #include "sim/time.h"
@@ -32,16 +37,13 @@ struct FrameInfo {
   Rect dirty{};                 ///< union of latched dirty rects (screen space)
   /// The exact composed damage (screen space, disjoint rects; dirty is its
   /// bounding box).  Contract: every pixel that differs from the previous
-  /// frame lies inside it -- the swapchain reconciles the back buffer to the
-  /// previous frame before composing, so pixels outside the damage are
-  /// byte-identical to frame N-1.  Listeners (the content-rate meter) rely
+  /// frame lies inside it -- the frame is composed in place and only the
+  /// damage is written, so pixels outside it are byte-identical to frame
+  /// N-1.  Listeners (the content-rate meter, the frame-stream hasher) rely
   /// on this to scope their work to the damage.
   Region damage;
   bool content_changed = false; ///< ground truth: any pixel actually changed
   std::int64_t composed_pixels = 0;  ///< pixels copied during composition
-  /// Pixels recopied to reconcile the age-2 back buffer before composing
-  /// (double-buffering overhead; not charged as composition work).
-  std::int64_t reconciled_pixels = 0;
   int surfaces_latched = 0;     ///< surfaces that had a pending frame
 };
 
@@ -54,7 +56,7 @@ class FrameListener {
 
 class SurfaceFlinger {
  public:
-  /// `pool` (optional) recycles pixel storage for the swapchain and every
+  /// `pool` (optional) recycles pixel storage for the screen buffer and every
   /// surface created through create_surface; it must outlive the flinger.
   explicit SurfaceFlinger(Size screen, BufferPool* pool = nullptr);
 
@@ -72,15 +74,8 @@ class SurfaceFlinger {
   /// produced (i.e. at least one surface had posted).  Called at V-Sync.
   bool on_vsync(sim::Time t);
 
-  /// The frame currently on screen (the swapchain's front buffer).
-  [[nodiscard]] const Framebuffer& framebuffer() const {
-    return chain_.front();
-  }
-  /// The previously displayed frame -- the paper's "extra buffer", obtained
-  /// for free from the flip.
-  [[nodiscard]] const Framebuffer& previous_frame() const {
-    return chain_.previous();
-  }
+  /// The frame currently on screen.
+  [[nodiscard]] const Framebuffer& framebuffer() const { return screen_fb_; }
   [[nodiscard]] Size screen_size() const { return screen_; }
   [[nodiscard]] std::uint64_t frames_composed() const { return frame_seq_; }
   [[nodiscard]] std::uint64_t content_frames() const {
@@ -94,11 +89,11 @@ class SurfaceFlinger {
 
   /// Enables (default) or disables tile-hash compose memoization.  With it
   /// on, dirty rects are composed tile by tile and rects whose bytes already
-  /// match the reconciled back buffer are skipped -- no pixel write, no
-  /// damage, so downstream meter compares and next-frame reconciliation skip
-  /// them too.  Every hash hit is byte-verified, so the composed frames are
-  /// byte-identical either way (the DST memo oracle holds this).  Off keeps
-  /// the historical blit-everything path as the differential reference.
+  /// match the screen buffer are skipped -- no pixel write, no damage, so
+  /// downstream meter compares skip them too.  Every hash hit is
+  /// byte-verified, so the composed frames are byte-identical either way
+  /// (the DST memo oracle holds this).  Off keeps the historical
+  /// blit-everything path as the differential reference.
   void set_tile_memo(bool on) { tile_memo_ = on; }
   [[nodiscard]] bool tile_memo() const { return tile_memo_; }
 
@@ -124,14 +119,14 @@ class SurfaceFlinger {
   /// from the currently displayed frame.
   [[nodiscard]] bool region_differs(const Surface& s, Rect dirty) const;
 
-  /// Composes one dirty rect through the tile cache into `target` (the
-  /// reconciled back buffer).  Returns true if any pixels were written.
-  bool compose_rect_memo(const Surface& s, Rect screen_rect,
-                         Framebuffer& target, FrameInfo& info, Region& damage);
+  /// Composes one dirty rect through the tile cache into the screen
+  /// buffer.  Returns true if any pixels were written.
+  bool compose_rect_memo(const Surface& s, Rect screen_rect, FrameInfo& info,
+                         Region& damage);
 
   Size screen_;
   BufferPool* pool_;
-  Swapchain chain_;
+  Framebuffer screen_fb_;
   std::vector<std::unique_ptr<Surface>> surfaces_;  // kept sorted by z-order
   std::vector<FrameListener*> listeners_;
   std::uint64_t frame_seq_ = 0;

@@ -2,10 +2,8 @@
 //
 // The screen is cut into 64x64 screen-space tiles (edge tiles clipped).  For
 // each tile the cache remembers a 64-bit hash of the tile's content in the
-// *next front buffer* -- i.e. what the back buffer holds after composition.
-// The swapchain reconciles the back buffer to the front before each compose,
-// so a surface rect whose hash matches the cached tile hash is *probably*
-// already on screen; the flinger re-verifies the bytes before skipping the
+// screen buffer, which the flinger composes in place, so a surface rect
+// whose hash matches the cached tile hash is *probably* already on screen; the flinger re-verifies the bytes before skipping the
 // write, which keeps correctness independent of hash uniqueness (a collision
 // costs one extra compare and is counted, never trusted).
 //

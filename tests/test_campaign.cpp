@@ -311,6 +311,35 @@ TEST(Manifest, EmbeddedSpecSurvives) {
   EXPECT_EQ(spec_back->fingerprint(), parsed->fingerprint);
 }
 
+TEST(Manifest, OutOfRangeCountsAreParseErrors) {
+  const std::string good = Manifest::fresh(tiny_spec()).to_string();
+  ASSERT_TRUE(Manifest::parse(good).has_value());
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  // The shard count sizes the shard-row table, so it is bounded like
+  // CampaignSpec::shards before anything is allocated.
+  std::string error;
+  EXPECT_FALSE(
+      Manifest::parse(replaced("shards = 3\n", "shards = 2000000000\n"),
+                      &error)
+          .has_value());
+  EXPECT_NE(error.find("bad shard count"), std::string::npos) << error;
+  EXPECT_FALSE(
+      Manifest::parse(replaced("shards = 3\n", "shards = 100001\n"), &error)
+          .has_value());
+  // attempts is an int: a larger value is rejected, not wrapped.
+  EXPECT_FALSE(Manifest::parse(replaced("attempts=0", "attempts=2147483648"),
+                               &error)
+                   .has_value());
+  EXPECT_NE(error.find("bad attempts count"), std::string::npos) << error;
+  EXPECT_TRUE(Manifest::parse(replaced("attempts=0", "attempts=2147483647"))
+                  .has_value());
+}
+
 TEST(Sidecars, ProgressAndFailRoundTrip) {
   const std::vector<std::uint64_t> inflight = {5, 6, 7};
   const auto parsed = parse_progress(progress_to_string(2, inflight));

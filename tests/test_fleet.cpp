@@ -78,7 +78,7 @@ TEST(Fleet, SingleThreadWorks) {
 }
 
 // A single worker serving several runs must recycle its device's buffers:
-// the second run's swapchain, surface and meter storage all come from the
+// the second run's screen buffer, surface and meter storage all come from the
 // pool the first run released into.
 TEST(Fleet, ReusesBuffersAcrossRuns) {
   FleetRunner fleet(1);

@@ -170,13 +170,6 @@ TEST(Framebuffer, RegionEqualsIgnoresOutside) {
   EXPECT_FALSE(a.region_equals(b, Rect{4, 4, 4, 4}));
 }
 
-TEST(Framebuffer, ContentHashChangesWithContent) {
-  Framebuffer a(16, 16), b(16, 16);
-  EXPECT_EQ(a.content_hash(), b.content_hash());
-  b.set(5, 5, Rgb888{1, 0, 0});
-  EXPECT_NE(a.content_hash(), b.content_hash());
-}
-
 TEST(Framebuffer, RowSpanHasWidth) {
   Framebuffer fb(6, 2);
   EXPECT_EQ(fb.row(0).size(), 6u);
