@@ -1,17 +1,15 @@
 // Micro-benchmark (google-benchmark): raw cost of the grid comparison on
 // this host, for each of Fig. 6's grid configurations, and of the
-// row-span compare/copy kernels for every runtime-dispatchable variant
-// (scalar / sse2 / avx2 / neon as available on the host).
+// row-span compare/copy kernels of gfx/compare.h.
 //
 // The absolute times on a desktop CPU are far below the Galaxy S3's (the
 // device-side curve lives in core::MeteringCostModel); what this bench
 // validates is the *shape*: cost grows monotonically with the sampled pixel
 // count, full-resolution comparison costs orders of magnitude more than the
-// sparse grids, and the wider SIMD variants dominate scalar on contiguous
-// spans while producing (by the kernel oracle) byte-identical results.
+// sparse grids, and the row-span kernels run at memory bandwidth.
 #include <benchmark/benchmark.h>
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "core/grid_sampler.h"
@@ -84,16 +82,11 @@ void BM_GridSample(benchmark::State& state) {
 }
 BENCHMARK(BM_GridSample)->DenseRange(0, 4);
 
-// --- per-kernel-variant sweep ----------------------------------------------
-// Registered once per entry of available_kernels(), so the reported names
-// (e.g. BM_RowsEqual/avx2) directly compare the dispatch table's options on
-// this host.  Each benchmark pins the variant with ScopedKernelOverride for
-// its duration; everything else (buffers, rects) is identical.
+// --- row-span kernels ------------------------------------------------------
 
-/// Full-frame equality through the dispatched rows_equal -- the worst case
-/// (equal buffers, no early-out) and the memoization verify's hot loop.
-void BM_RowsEqual(benchmark::State& state, const gfx::kernels::KernelOps& ops) {
-  const gfx::kernels::ScopedKernelOverride pin(ops);
+/// Full-frame equality through rows_equal -- the worst case (equal buffers,
+/// no early-out).
+void BM_RowsEqual(benchmark::State& state) {
   const gfx::Framebuffer a = make_noise_frame(1);
   const gfx::Framebuffer b = a;
   const gfx::Rect full = gfx::Rect::of(kScreen);
@@ -104,27 +97,27 @@ void BM_RowsEqual(benchmark::State& state, const gfx::kernels::KernelOps& ops) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           full.area() * 3);
 }
+BENCHMARK(BM_RowsEqual);
 
-/// A 64x64 tile compare at an unaligned offset -- the tile cache's verify
-/// granule, exercising the offset/stride path rather than one flat span.
-void BM_TileVerify(benchmark::State& state,
-                   const gfx::kernels::KernelOps& ops) {
-  const gfx::kernels::ScopedKernelOverride pin(ops);
+/// A 64x64 rect compare at an unaligned offset -- the compositor's
+/// change-check shape, exercising the offset/stride path rather than one
+/// flat span.
+void BM_RowsEqualOffset(benchmark::State& state) {
   const gfx::Framebuffer a = make_noise_frame(1);
   const gfx::Framebuffer b = a;
-  const gfx::Rect tile{131, 257, 64, 64};
+  const gfx::Rect rect{131, 257, 64, 64};
   for (auto _ : state) {
     benchmark::DoNotOptimize(gfx::kernels::rows_equal_offset(
-        a.pixels().data(), a.width(), tile, b.pixels().data(), b.width(),
-        gfx::Point{tile.x, tile.y}));
+        a.pixels().data(), a.width(), rect, b.pixels().data(), b.width(),
+        gfx::Point{rect.x, rect.y}));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          tile.area() * 3);
+                          rect.area() * 3);
 }
+BENCHMARK(BM_RowsEqualOffset);
 
 /// The compose copy: a half-screen window blit through copy_rows.
-void BM_CopyRows(benchmark::State& state, const gfx::kernels::KernelOps& ops) {
-  const gfx::kernels::ScopedKernelOverride pin(ops);
+void BM_CopyRows(benchmark::State& state) {
   const gfx::Framebuffer src = make_noise_frame(1);
   gfx::Framebuffer dst(kScreen);
   const gfx::kernels::CopyWindow w{gfx::Point{7, 11}, gfx::Point{13, 5},
@@ -138,41 +131,19 @@ void BM_CopyRows(benchmark::State& state, const gfx::kernels::KernelOps& ops) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           w.size.area() * 3);
 }
+BENCHMARK(BM_CopyRows);
 
 /// Baseline the paper rejects: full-framebuffer equality (identical frames,
-/// no early exit) through Framebuffer::equals, which dispatches too.
-void BM_FullFrameEquals(benchmark::State& state,
-                        const gfx::kernels::KernelOps& ops) {
-  const gfx::kernels::ScopedKernelOverride pin(ops);
+/// no early exit) through Framebuffer::equals.
+void BM_FullFrameEquals(benchmark::State& state) {
   const gfx::Framebuffer a = make_noise_frame(1);
   const gfx::Framebuffer b = a;
   for (auto _ : state) {
     benchmark::DoNotOptimize(a.equals(b));
   }
 }
-
-void register_variant_benchmarks() {
-  for (const gfx::kernels::KernelOps* ops :
-       gfx::kernels::available_kernels()) {
-    const std::string suffix = std::string("/") + ops->name;
-    benchmark::RegisterBenchmark(("BM_RowsEqual" + suffix).c_str(),
-                                 BM_RowsEqual, *ops);
-    benchmark::RegisterBenchmark(("BM_TileVerify" + suffix).c_str(),
-                                 BM_TileVerify, *ops);
-    benchmark::RegisterBenchmark(("BM_CopyRows" + suffix).c_str(),
-                                 BM_CopyRows, *ops);
-    benchmark::RegisterBenchmark(("BM_FullFrameEquals" + suffix).c_str(),
-                                 BM_FullFrameEquals, *ops);
-  }
-}
+BENCHMARK(BM_FullFrameEquals);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  register_variant_benchmarks();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

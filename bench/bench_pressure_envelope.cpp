@@ -1,7 +1,7 @@
 // Pressure-envelope sweep: power, quality and ladder behaviour vs system
 // pressure (thermal throttling, battery brownout, vsync jitter storms).
 //
-// The degradation ladder (src/core/policy_stages.h, DESIGN.md section 14)
+// The degradation ladder (src/core/policy_stages.h, DESIGN.md section 13)
 // promises deterministic, rung-ordered shedding under pressure and a
 // bounded-time return to rung 0 once the last episode clears.  This bench
 // measures both halves: it sweeps scaled multiples of the nominal pressure

@@ -4,13 +4,10 @@
 // in simulated time; this one measures the host-side cost of simulating --
 // simulated frames per wall-clock second, pixels composed/compared per
 // second, and the per-stage pixel-traffic split -- across four
-// representative workloads (static UI, feed scroll, game, video) for
-// serial execution, the FleetRunner, every runtime-dispatchable kernel
-// variant, and a `reference` arm (scalar kernels, tile memoization off)
-// equivalent to the pre-memoization hot path.  It writes
-// BENCH_throughput.json (schema below, versioned) so the perf trajectory of
-// the repo is machine-readable and CI can fail on regressions; see
-// DESIGN.md sections 8 and 12.
+// representative workloads (static UI, feed scroll, game, video) for serial
+// execution and the FleetRunner.  It writes BENCH_throughput.json (schema
+// below, versioned) so the perf trajectory of the repo is machine-readable
+// and CI can fail on regressions; see DESIGN.md section 8.
 //
 // Usage:  bench_throughput [sim_seconds_per_run] [output.json]
 //         CCDEM_BENCH_SECONDS / CCDEM_BENCH_OUT override the defaults
@@ -19,14 +16,12 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/app_profiles.h"
 #include "bench_common.h"
-#include "gfx/compare.h"
 #include "harness/json_writer.h"
 #include "obs/obs.h"
 
@@ -48,8 +43,7 @@ struct Profile {
 /// (frames are mostly redundant -- the paper's motivating case), a
 /// scroll-heavy feed (large vertical damage bands), a sprite game
 /// (scattered small damage at 60 Hz), and video playback (a full-width band
-/// redrawn every decoded frame with high inter-frame coherence -- the tile
-/// cache's showcase).
+/// redrawn every decoded frame).
 std::vector<Profile> profiles() {
   std::vector<Profile> v;
   v.push_back({"static_ui", apps::app_by_name("Auction"),
@@ -69,9 +63,10 @@ std::vector<Profile> profiles() {
 
 /// Serial frames-per-wall-second of the immediate pre-PR tree, measured by
 /// replaying this bench's exact workload recipe against a worktree checked
-/// out just before the kernel-dispatch/memoization PR (same machine, same
-/// default-configure build, 30 s per run, best of 3).  Kept in the source so
-/// regeneration reproduces the comparison instead of losing it.
+/// out just before the (since removed) kernel-dispatch/memoization work
+/// (same machine, same default-configure build, 30 s per run, best of 3).
+/// Kept in the source so regeneration reproduces the comparison instead of
+/// losing it.
 struct PrePrBaseline {
   const char* profile;
   double frames_per_wall_s;
@@ -85,10 +80,9 @@ constexpr PrePrBaseline kPrePr[] = {
 constexpr const char* kPrePrNote =
     "serial throughput of the immediate pre-PR tree, replayed with this "
     "bench's recipe (same machine, default-configure build, 30 s runs, best "
-    "of 3).  The pre-PR hot path was already damage-scoped and memcpy-bound, "
-    "so the kernel/memoization work shifts per-stage pixel traffic (see "
-    "pixels_written_per_s / pixels_compared_per_s) more than end-to-end "
-    "frames/s -- see DESIGN.md section 12 for the bandwidth analysis.";
+    "of 3).  That tree was already damage-scoped and memcpy-bound; the SIMD "
+    "kernels and tile memo added after it have since been removed because "
+    "neither paid for itself end to end.";
 
 double pre_pr_fps(const std::string& profile) {
   for (const PrePrBaseline& b : kPrePr) {
@@ -106,27 +100,23 @@ struct SmokeBaseline {
   double pixels_compared_per_frame;
 };
 constexpr SmokeBaseline kSmoke[] = {
-    {"static_ui", 1166.49, 1813.091},
-    {"feed_scroll", 1319.30, 2046.316},
-    {"game", 5483.28, 293.425},
-    {"video", 2449.57, 468.500},
+    {"static_ui", 1903.15, 2727.273},
+    {"feed_scroll", 2219.04, 3012.632},
+    {"game", 8230.66, 297.752},
+    {"video", 3896.52, 2754.818},
 };
 
 std::vector<harness::ExperimentConfig> make_configs(const Profile& p,
-                                                    int seconds,
-                                                    bool tile_memo = true) {
+                                                    int seconds) {
   std::vector<harness::ExperimentConfig> configs;
   for (int i = 0; i < kRunsPerProfile; ++i) {
-    harness::ExperimentConfig c =
-        bench::make_config(p.app, p.mode, seconds, /*seed=*/1 + i);
-    c.tile_memo = tile_memo;
-    configs.push_back(std::move(c));
+    configs.push_back(
+        bench::make_config(p.app, p.mode, seconds, /*seed=*/1 + i));
   }
   return configs;
 }
 
-/// One measured arm (serial, fleet, one kernel variant, or reference) over a
-/// profile's config set.
+/// One measured arm (serial or fleet) over a profile's config set.
 struct ArmResult {
   double wall_ms = 0.0;
   std::uint64_t sim_frames = 0;
@@ -147,13 +137,10 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-ArmResult run_serial(const std::vector<harness::ExperimentConfig>& configs,
-                     const gfx::kernels::KernelOps* pin = nullptr) {
+ArmResult run_serial(const std::vector<harness::ExperimentConfig>& configs) {
   ArmResult r;
   obs::ObsSink sink;
   sink.spans.set_enabled(false);  // counters only; spans would skew timing
-  std::optional<gfx::kernels::ScopedKernelOverride> override_;
-  if (pin != nullptr) override_.emplace(*pin);
   const auto t0 = std::chrono::steady_clock::now();
   for (harness::ExperimentConfig c : configs) {
     c.obs = &sink;
@@ -180,20 +167,11 @@ ArmResult run_fleet(const std::vector<harness::ExperimentConfig>& configs) {
   return r;
 }
 
-/// Counter totals must be scheduling- and kernel-independent; only pool.*
-/// counters legitimately differ (fleet workers share one device per
-/// thread), and the reference arm additionally differs in the memo/meter
-/// work counters the memoization exists to change.
-bool counters_identical(const obs::Counters& a, const obs::Counters& b,
-                        bool ignore_memo_work = false) {
-  const auto ignored = [&](const std::string& name) {
-    if (name.rfind("pool.", 0) == 0) return true;
-    if (ignore_memo_work &&
-        (name.rfind("flinger.memo.", 0) == 0 ||
-         name.rfind("meter.pixels_", 0) == 0)) {
-      return true;
-    }
-    return false;
+/// Counter totals must be scheduling-independent; only pool.* counters
+/// legitimately differ (fleet workers share one device per thread).
+bool counters_identical(const obs::Counters& a, const obs::Counters& b) {
+  const auto ignored = [](const std::string& name) {
+    return name.rfind("pool.", 0) == 0;
   };
   for (const auto& [name, value] : b.snapshot().counters) {
     if (!ignored(name) && a.value(name) != value) return false;
@@ -206,10 +184,6 @@ bool counters_identical(const obs::Counters& a, const obs::Counters& b,
 
 void write_arm(harness::JsonWriter& w, const ArmResult& r) {
   const std::uint64_t composed = r.counters.value("flinger.pixels_composed");
-  const std::uint64_t written =
-      r.counters.value("flinger.memo.pixels_written");
-  const std::uint64_t memo_skipped =
-      r.counters.value("flinger.memo.pixels_skipped");
   const std::uint64_t compared = r.counters.value("meter.pixels_compared");
   const std::uint64_t skipped =
       r.counters.value("meter.pixels_compare_skipped");
@@ -220,9 +194,6 @@ void write_arm(harness::JsonWriter& w, const ArmResult& r) {
   w.kv("frames_per_wall_s", r.frames_per_wall_s());
   w.kv("sim_seconds_per_wall_s", r.per_wall_s(r.sim_seconds));
   w.kv("pixels_composed_per_s", r.per_wall_s(static_cast<double>(composed)));
-  w.kv("pixels_written_per_s", r.per_wall_s(static_cast<double>(written)));
-  w.kv("pixels_memo_skipped_per_s",
-       r.per_wall_s(static_cast<double>(memo_skipped)));
   w.kv("pixels_compared_per_s", r.per_wall_s(static_cast<double>(compared)));
   w.kv("pixels_compare_skipped_per_s",
        r.per_wall_s(static_cast<double>(skipped)));
@@ -257,23 +228,17 @@ std::string out_path(int argc, char** argv) {
 int main(int argc, char** argv) {
   const int seconds = bench::run_seconds(argc, argv, 30);
   const std::string path = out_path(argc, argv);
-  const auto& variants = gfx::kernels::available_kernels();
 
   harness::print_bench_header(
       std::cout, "Wall-clock throughput baseline",
       std::to_string(seconds) + " s per run, " +
-          std::to_string(kRunsPerProfile) + " runs per profile, kernel " +
-          gfx::kernels::active_kernels().name);
+          std::to_string(kRunsPerProfile) + " runs per profile");
 
   struct Row {
     Profile profile;
-    ArmResult serial;  // active kernel, memoization on
+    ArmResult serial;
     ArmResult fleet;
-    ArmResult reference;  // scalar kernels, memoization off (pre-PR path)
-    std::vector<std::pair<std::string, ArmResult>> variant_arms;
-    bool identical = false;           // serial vs fleet
-    bool variants_identical = false;  // every variant vs serial, all counters
-    bool reference_identical = false;  // reference vs serial, modulo memo work
+    bool identical = false;  // serial vs fleet
   };
   std::vector<Row> rows;
 
@@ -287,56 +252,27 @@ int main(int argc, char** argv) {
     row.profile = p;
     row.serial = run_serial(make_configs(p, seconds));
     row.fleet = run_fleet(make_configs(p, seconds));
-    row.reference = run_serial(make_configs(p, seconds, /*tile_memo=*/false),
-                               &gfx::kernels::scalar_kernels());
     row.identical = counters_identical(row.serial.counters,
                                        row.fleet.counters);
-    row.reference_identical =
-        counters_identical(row.serial.counters, row.reference.counters,
-                           /*ignore_memo_work=*/true);
-    row.variants_identical = true;
-    for (const gfx::kernels::KernelOps* ops : variants) {
-      ArmResult arm = run_serial(make_configs(p, seconds), ops);
-      row.variants_identical =
-          row.variants_identical &&
-          counters_identical(row.serial.counters, arm.counters);
-      row.variant_arms.emplace_back(ops->name, std::move(arm));
-    }
     rows.push_back(std::move(row));
   }
 
   harness::TextTable table({"profile", "app", "serial fps", "fleet fps",
-                            "ref fps", "speedup", "Mpx written/s",
-                            "Mpx compared/s", "counters"});
+                            "Mpx composed/s", "Mpx compared/s", "counters"});
+  const auto mpx_per_s = [](const ArmResult& arm, const char* counter) {
+    return harness::fmt(
+        arm.per_wall_s(static_cast<double>(arm.counters.value(counter))) / 1e6,
+        1);
+  };
   for (const Row& r : rows) {
-    const double ref_fps = r.reference.frames_per_wall_s();
-    table.add_row(
-        {r.profile.name, r.profile.app.name,
-         harness::fmt(r.serial.frames_per_wall_s(), 0),
-         harness::fmt(r.fleet.frames_per_wall_s(), 0),
-         harness::fmt(ref_fps, 0),
-         harness::fmt(
-             ref_fps <= 0.0 ? 0.0 : r.serial.frames_per_wall_s() / ref_fps,
-             2),
-         harness::fmt(r.serial.per_wall_s(static_cast<double>(
-                          r.serial.counters.value(
-                              "flinger.memo.pixels_written"))) /
-                          1e6,
-                      1),
-         harness::fmt(r.serial.per_wall_s(static_cast<double>(
-                          r.serial.counters.value("meter.pixels_compared"))) /
-                          1e6,
-                      1),
-         r.identical && r.variants_identical && r.reference_identical
-             ? "identical"
-             : "DIVERGED"});
+    table.add_row({r.profile.name, r.profile.app.name,
+                   harness::fmt(r.serial.frames_per_wall_s(), 0),
+                   harness::fmt(r.fleet.frames_per_wall_s(), 0),
+                   mpx_per_s(r.serial, "flinger.pixels_composed"),
+                   mpx_per_s(r.serial, "meter.pixels_compared"),
+                   r.identical ? "identical" : "DIVERGED"});
   }
   table.print(std::cout);
-  std::cout << "kernel variants:";
-  for (const gfx::kernels::KernelOps* ops : variants) {
-    std::cout << " " << ops->name;
-  }
-  std::cout << " (active: " << gfx::kernels::active_kernels().name << ")\n";
 
   std::ofstream out(path);
   if (!out.good()) {
@@ -345,21 +281,15 @@ int main(int argc, char** argv) {
   }
   harness::JsonWriter w(out);
   w.begin_object();
-  w.kv("schema", "ccdem-bench-throughput-v2");
+  w.kv("schema", "ccdem-bench-throughput-v3");
   w.kv("generated_by", "bench_throughput");
   w.kv("sim_seconds_per_run", seconds);
   w.kv("runs_per_profile", kRunsPerProfile);
-  w.kv("active_kernel", gfx::kernels::active_kernels().name);
-  w.key("kernel_variants");
-  w.begin_array();
-  for (const gfx::kernels::KernelOps* ops : variants) w.value(ops->name);
-  w.end_array();
   w.key("profiles");
   w.begin_array();
   bool all_identical = true;
   for (const Row& r : rows) {
-    all_identical = all_identical && r.identical && r.variants_identical &&
-                    r.reference_identical;
+    all_identical = all_identical && r.identical;
     w.begin_object();
     w.kv("name", r.profile.name);
     w.kv("app", r.profile.app.name);
@@ -368,27 +298,11 @@ int main(int argc, char** argv) {
     write_arm(w, r.serial);
     w.key("fleet");
     write_arm(w, r.fleet);
-    w.key("reference");
-    write_arm(w, r.reference);
-    w.key("variants");
-    w.begin_object();
-    for (const auto& [name, arm] : r.variant_arms) {
-      w.key(name);
-      write_arm(w, arm);
-    }
-    w.end_object();
     w.kv("counters_identical", r.identical);
-    w.kv("variants_identical", r.variants_identical);
-    w.kv("reference_identical", r.reference_identical);
     w.kv("speedup_fleet_over_serial",
          r.serial.wall_ms <= 0.0 || r.fleet.wall_ms <= 0.0
              ? 0.0
              : r.serial.wall_ms / r.fleet.wall_ms);
-    w.kv("speedup_vs_reference",
-         r.reference.frames_per_wall_s() <= 0.0
-             ? 0.0
-             : r.serial.frames_per_wall_s() /
-                   r.reference.frames_per_wall_s());
     const double pre = pre_pr_fps(r.profile.name);
     w.kv("speedup_vs_pre_pr",
          pre <= 0.0 ? 0.0 : r.serial.frames_per_wall_s() / pre);

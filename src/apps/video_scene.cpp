@@ -22,9 +22,9 @@ void VideoScene::paint_video_frame(gfx::Canvas& canvas,
   // A cheap synthetic video with real-codec temporal structure: a gradient
   // backdrop that only changes when the cut index changes, plus two moving
   // high-contrast blocks that reposition every decoded frame.  Within a cut
-  // most rows repeat byte-for-byte (inter-frame coherence, the tile cache's
-  // win); every frame still has changed pixels, so the ground-truth content
-  // rate stays at the decode rate.
+  // most rows repeat byte-for-byte (inter-frame coherence); every frame
+  // still has changed pixels, so the ground-truth content rate stays at the
+  // decode rate.
   const auto v = static_cast<std::uint32_t>(version);
   const std::uint32_t cut =
       spec_.video_cut_frames > 0 ? v / static_cast<std::uint32_t>(
@@ -61,7 +61,7 @@ bool VideoScene::render(gfx::Canvas& canvas, sim::Time t) {
   if (version != last_version_) {
     last_version_ = version;
     // The clip loops: past one period every decoded frame repeats an earlier
-    // one exactly, which is what whole-frame memoization keys on.
+    // one exactly.
     const std::int64_t looped = spec_.video_loop_frames > 0
                                     ? version % spec_.video_loop_frames
                                     : version;

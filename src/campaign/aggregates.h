@@ -9,7 +9,7 @@
 // merges one Aggregates per shard -- O(shards) state, independent of how
 // many runs each shard held.
 //
-// Merge laws (DESIGN.md section 13, proven by tests/test_aggregates.cpp):
+// Merge laws (DESIGN.md section 12, proven by tests/test_aggregates.cpp):
 //   * a merge with a default-constructed Aggregates is the identity, and
 //     merge is associative on all integral state (double sums re-associate
 //     only to rounding, hence the fixed fold order below);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "fault/fault_plan.h"
-#include "gfx/compare.h"
 #include "harness/fleet.h"
 #include "metrics/quality.h"
 
@@ -133,53 +132,6 @@ CheckReport check_scenario(const Scenario& s, const CheckOptions& options) {
       // so only the meter work counters may differ.
       if (auto d = diff_counters(culled.counters, unculled->counters,
                                  "unculled", {"meter.pixels_"})) {
-        report.failures.push_back(*d);
-      }
-    }
-  }
-
-  if (options.oracle_kernel &&
-      &gfx::kernels::active_kernels() != &gfx::kernels::scalar_kernels()) {
-    // The wide kernels claim bit-exactness, so this diff is total: every
-    // result field (frame hashes included), every counter, and the
-    // serialized trace must match the scalar reference byte for byte.
-    RunOptions scalar_opt;
-    scalar_opt.force_scalar_kernels = true;
-    const RunArtifacts scalar_run = run_scenario_once(cfg, scalar_opt);
-    if (culled.trace_csv != scalar_run.trace_csv) {
-      report.failures.push_back(
-          "kernel: serialized obs trace differs between the active SIMD "
-          "kernel table and the scalar reference");
-    }
-    if (auto d = diff_results(culled.result, scalar_run.result, "kernel")) {
-      report.failures.push_back(*d);
-    }
-    if (auto d = diff_counters(culled.counters, scalar_run.counters,
-                               "kernel")) {
-      report.failures.push_back(*d);
-    }
-  }
-
-  if (options.oracle_tile_memo) {
-    RunOptions memo_off;
-    memo_off.tile_memo = false;
-    const RunArtifacts unmemoized = run_scenario_once(cfg, memo_off);
-    // Meter bit-flip faults split the legs the same way they split
-    // culled-vs-unculled: skipped tile writes shrink the damage region, so
-    // a corrupted retained sample outside the shrunk damage is invisible to
-    // the memoized run but not to the reference.  Clean runs must agree.
-    const bool meter_faults = s.fault_scale > 0.0 && s.fault_classes.meter;
-    if (!meter_faults) {
-      if (auto d =
-              diff_results(culled.result, unmemoized.result, "tile-memo")) {
-        report.failures.push_back(*d);
-      }
-      // Skipping writes is allowed to change exactly two things: how much
-      // the meter had to compare (damage shrinks to the proven-changed
-      // tiles) and the memo accounting itself.
-      if (auto d = diff_counters(culled.counters, unmemoized.counters,
-                                 "tile-memo",
-                                 {"meter.pixels_", "flinger.memo."})) {
         report.failures.push_back(*d);
       }
     }

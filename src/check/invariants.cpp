@@ -341,31 +341,6 @@ void TraceInvariantChecker::check_counter_graph(
     out.push_back(os.str());
   }
 
-  // Memo accounting: every logically composed pixel was either physically
-  // written or proven unchanged and skipped -- in both memo modes (with
-  // memoization off, written == composed and skipped == 0).
-  if (const auto written =
-          find_counter(r.counters, "flinger.memo.pixels_written")) {
-    const std::uint64_t skipped =
-        find_counter(r.counters, "flinger.memo.pixels_skipped").value_or(0);
-    const std::uint64_t pixels =
-        find_counter(r.counters, "flinger.pixels_composed").value_or(0);
-    if (*written + skipped != pixels) {
-      std::ostringstream os;
-      os << "I6 counters: memo pixels_written " << *written << " + skipped "
-         << skipped << " != pixels_composed " << pixels;
-      out.push_back(os.str());
-    }
-    const std::uint64_t memo_frames =
-        find_counter(r.counters, "flinger.memo.frames_memoized").value_or(0);
-    if (memo_frames > composed) {
-      std::ostringstream os;
-      os << "I6 counters: " << memo_frames << " memoized frames > "
-         << composed << " composed";
-      out.push_back(os.str());
-    }
-  }
-
   if (const auto meter_frames = find_counter(r.counters, "meter.frames")) {
     if (*meter_frames != composed) {
       std::ostringstream os;

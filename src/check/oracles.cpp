@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/section_table.h"
-#include "gfx/compare.h"
 #include "obs/obs.h"
 #include "obs/trace_export.h"
 
@@ -71,12 +70,7 @@ RunArtifacts run_scenario_once(harness::ExperimentConfig cfg,
   cfg.obs = &sink;
   cfg.dpm.meter.damage_culling = opt.damage_culling;
   cfg.governor.meter.damage_culling = opt.damage_culling;
-  cfg.tile_memo = opt.tile_memo;
   cfg.hash_frames = opt.hash_frames;
-  std::optional<gfx::kernels::ScopedKernelOverride> force_scalar;
-  if (opt.force_scalar_kernels) {
-    force_scalar.emplace(gfx::kernels::scalar_kernels());
-  }
   RunArtifacts out;
   out.result = harness::run_experiment(cfg);
   out.counters = sink.counters.snapshot();

@@ -12,12 +12,6 @@
 //                    result (observability is passive),
 //  * fleet        -- the work-stealing FleetRunner vs the serial run
 //                    (identical modulo the pool.* reuse counters),
-//  * kernel       -- the CPU-selected SIMD kernel table vs the forced scalar
-//                    reference; *everything* must match, trace bytes
-//                    included (the variants claim byte-identity),
-//  * tile memo    -- compose memoization on vs off; results, frame hashes
-//                    and counters must match except the meter work and
-//                    flinger.memo.* accounting the skips exist to change,
 //  * section ref  -- SectionTable/policy decisions vs a brute-force
 //                    reimplementation of Equation (1).
 #pragma once
@@ -46,15 +40,13 @@ struct RunArtifacts {
 struct RunOptions {
   bool damage_culling = true;
   bool spans = true;
-  /// Tile-hash compose memoization (the memo oracle's off leg sets false).
-  bool tile_memo = true;
-  /// Force the scalar kernel table for this run regardless of CPU or the
-  /// CCDEM_KERNEL override -- the kernel oracle's reference leg.  Swaps the
-  /// process-global table, so only valid for serial (non-fleet) runs.
-  bool force_scalar_kernels = false;
   /// Oracle runs fingerprint every composed frame by default so the diffs
   /// below prove frame-stream identity, not just end-state agreement.
   bool hash_frames = true;
+  /// Ignored.  Read only by perfbench/; removed with the BENCHMARK.json
+  /// per_layer follow-up.
+  bool tile_memo = true;
+  bool force_scalar_kernels = false;
 };
 
 /// Runs the config against a fresh device + private ObsSink and captures

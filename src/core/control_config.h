@@ -106,7 +106,7 @@ struct DvfsConfig {
 };
 
 /// DegradationLadderStage: the system-pressure safety plane (DESIGN.md
-/// section 14).  Disabled by default -- with `enabled == false` the stage is
+/// section 13).  Disabled by default -- with `enabled == false` the stage is
 /// never built, no degrade.* counters register and golden traces stay
 /// bit-identical.  The device layer auto-enables it when the FaultPlan
 /// carries pressure episode classes.

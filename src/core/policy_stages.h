@@ -211,7 +211,7 @@ class RecoveryStage final : public PolicyStage {
   std::uint64_t* ctr_retry_giveups_ = nullptr;
 };
 
-/// The system-pressure safety plane (DESIGN.md section 14): a fixed-order
+/// The system-pressure safety plane (DESIGN.md section 13): a fixed-order
 /// graceful-degradation ladder over the modeled environmental pressure
 /// (thermal throttle, battery brownout, vsync jitter storms).
 ///

@@ -86,8 +86,6 @@ void SimulatedDevice::configure(const DeviceConfig& config) {
 
   // --- device substrates, in the canonical order --------------------------
   flinger_ = std::make_unique<gfx::SurfaceFlinger>(config_.screen, pool_.get());
-  flinger_->set_exact_change_detection(config_.exact_change_detection);
-  flinger_->set_tile_memo(config_.tile_memo);
   flinger_->set_obs(config_.obs);
   if (pool_) {
     // Pool counters are lifetime totals; remember the baseline so finish()

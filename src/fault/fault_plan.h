@@ -55,7 +55,7 @@ struct FaultPlan {
   /// frame look meaningful and vice versa).
   double meter_bitflip_p = 0.0;
 
-  // --- system-pressure episodes (Poisson arrivals, DESIGN.md section 14) ---
+  // --- system-pressure episodes (Poisson arrivals, DESIGN.md section 13) ---
   // Unlike the link/sensor faults above, pressure classes model sustained
   // environmental stress: the right response is to *shed quality in order*
   // (core::DegradationLadderStage), not to retry.

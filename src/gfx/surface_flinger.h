@@ -4,9 +4,9 @@
 // them into the device framebuffer, then notifies frame listeners -- the
 // content-rate meter and the power model hang off this notification.  The
 // composition is dirty-region based, matching how a real compositor avoids
-// recopying unchanged pixels, and it optionally performs an exact
-// changed-pixel check over the dirty region so experiments have pixel-true
-// ground truth for "meaningful vs redundant frame".
+// recopying unchanged pixels, and it performs an exact changed-pixel check
+// over the dirty region so experiments have pixel-true ground truth for
+// "meaningful vs redundant frame".
 //
 // Frame N is composed in place into the one screen buffer that holds frame
 // N-1.  No second buffer is kept: the previous frame the paper's meter
@@ -24,7 +24,6 @@
 #include "gfx/geometry.h"
 #include "gfx/region.h"
 #include "gfx/surface.h"
-#include "gfx/tile_cache.h"
 #include "obs/obs.h"
 #include "sim/time.h"
 
@@ -42,7 +41,12 @@ struct FrameInfo {
   /// N-1.  Listeners (the content-rate meter, the frame-stream hasher) rely
   /// on this to scope their work to the damage.
   Region damage;
-  bool content_changed = false; ///< ground truth: any pixel actually changed
+  /// Ground truth for "meaningful frame": true iff some latched dirty rect
+  /// differed from frame N-1 where it landed.  Rects are checked in
+  /// composition order until the first change, so a pixel that a lower
+  /// surface changes and a higher surface restores within the same frame
+  /// still counts -- frame N may then equal frame N-1 byte for byte.
+  bool content_changed = false;
   std::int64_t composed_pixels = 0;  ///< pixels copied during composition
   int surfaces_latched = 0;     ///< surfaces that had a pending frame
 };
@@ -82,34 +86,6 @@ class SurfaceFlinger {
     return content_frames_;
   }
 
-  /// When true (default), `FrameInfo::content_changed` is computed by an
-  /// exact pixel comparison over the dirty region; when false, a non-empty
-  /// dirty region is assumed to change content (cheaper, optimistic).
-  void set_exact_change_detection(bool on) { exact_change_ = on; }
-
-  /// Enables (default) or disables tile-hash compose memoization.  With it
-  /// on, dirty rects are composed tile by tile and rects whose bytes already
-  /// match the screen buffer are skipped -- no pixel write, no damage, so
-  /// downstream meter compares skip them too.  Every hash hit is
-  /// byte-verified, so the composed frames are byte-identical either way
-  /// (the DST memo oracle holds this).  Off keeps the historical
-  /// blit-everything path as the differential reference.
-  void set_tile_memo(bool on) { tile_memo_ = on; }
-  [[nodiscard]] bool tile_memo() const { return tile_memo_; }
-
-  /// Physical-write accounting for the memoization layer.  Logical
-  /// composition work (FrameInfo::composed_pixels, the power model's input)
-  /// is unchanged by memoization; these count what actually hit memory.
-  struct MemoStats {
-    std::uint64_t pixels_written = 0;   ///< pixels physically copied
-    std::uint64_t pixels_skipped = 0;   ///< pixels proven unchanged, not copied
-    std::uint64_t tile_hits = 0;        ///< full-tile hash hits verified equal
-    std::uint64_t tile_collisions = 0;  ///< hash matched but bytes differed
-    std::uint64_t frames_memoized = 0;  ///< frames with dirt but zero writes
-    std::uint64_t frame_repeats = 0;    ///< whole-frame fingerprint repeats
-  };
-  [[nodiscard]] const MemoStats& memo_stats() const { return memo_; }
-
   /// Attaches an observability sink (may be null to detach).  Registers the
   /// flinger's counters and emits a compose span per composed frame.
   void set_obs(obs::ObsSink* obs);
@@ -119,11 +95,6 @@ class SurfaceFlinger {
   /// from the currently displayed frame.
   [[nodiscard]] bool region_differs(const Surface& s, Rect dirty) const;
 
-  /// Composes one dirty rect through the tile cache into the screen
-  /// buffer.  Returns true if any pixels were written.
-  bool compose_rect_memo(const Surface& s, Rect screen_rect, FrameInfo& info,
-                         Region& damage);
-
   Size screen_;
   BufferPool* pool_;
   Framebuffer screen_fb_;
@@ -131,16 +102,6 @@ class SurfaceFlinger {
   std::vector<FrameListener*> listeners_;
   std::uint64_t frame_seq_ = 0;
   std::uint64_t content_frames_ = 0;
-  bool exact_change_ = true;
-  bool tile_memo_ = true;
-
-  TileCache tiles_;
-  MemoStats memo_;
-  /// Ring of recent whole-frame fingerprints; 128 frames covers the video
-  /// loop lengths the corpus exercises (96 frames at 24 fps).
-  static constexpr std::size_t kFrameRing = 128;
-  std::vector<std::uint64_t> frame_ring_;
-  std::size_t frame_ring_next_ = 0;
 
   obs::ObsSink* obs_ = nullptr;
   std::uint64_t* ctr_frames_ = nullptr;
@@ -148,12 +109,6 @@ class SurfaceFlinger {
   std::uint64_t* ctr_redundant_ = nullptr;
   std::uint64_t* ctr_pixels_ = nullptr;
   std::uint64_t* ctr_latched_ = nullptr;
-  std::uint64_t* ctr_memo_written_ = nullptr;
-  std::uint64_t* ctr_memo_skipped_ = nullptr;
-  std::uint64_t* ctr_memo_tile_hits_ = nullptr;
-  std::uint64_t* ctr_memo_collisions_ = nullptr;
-  std::uint64_t* ctr_memo_frames_ = nullptr;
-  std::uint64_t* ctr_memo_repeats_ = nullptr;
 };
 
 }  // namespace ccdem::gfx

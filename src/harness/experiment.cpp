@@ -20,11 +20,9 @@ device::DeviceConfig ExperimentConfig::device_config() const {
   dc.screen = screen;
   dc.seed = seed;
   dc.power_sample = power_sample;
-  dc.exact_change_detection = exact_change_detection;
   dc.brightness = brightness;
   dc.baseline_hz = baseline_hz;
   dc.fast_rate_up = fast_rate_up;
-  dc.tile_memo = tile_memo;
   dc.fault = fault;
   dc.obs = obs;
   return dc;

@@ -54,9 +54,6 @@ struct ExperimentConfig {
   display::RefreshRateSet rates = display::RefreshRateSet::galaxy_s3();
   gfx::Size screen = apps::kGalaxyS3Screen;
   sim::Duration power_sample = sim::milliseconds(50);
-  /// Exact pixel ground truth in the compositor (needed for quality and
-  /// meter-error metrics; cheap because it only scans dirty regions).
-  bool exact_change_detection = true;
   /// Screen brightness in [0, 1]; the paper measures at 50 %.
   double brightness = 0.5;
   /// Fixed rate of the kBaseline60 arm; 0 = the rate set's maximum.  Set
@@ -70,16 +67,15 @@ struct ExperimentConfig {
   /// Fault injection plan (robustness layer); default empty = no injector,
   /// bit-identical to a clean run.
   fault::FaultPlan fault{};
-  /// Tile-hash compose memoization in the flinger (on by default; the DST
-  /// memo oracle runs the same scenario with it off and demands
-  /// byte-identical frames and results).
+  /// Ignored.  Read only by perfbench/; removed with the BENCHMARK.json
+  /// per_layer follow-up.
   bool tile_memo = true;
   /// When true, fingerprint the full framebuffer after every composed frame
   /// (FrameStreamHasher) and fold the hashes into
   /// ExperimentResult::frame_stream_hash.  Hashing every frame costs real
   /// time, so it is opt-in -- the DST oracles turn it on to prove
-  /// frame-stream identity across kernel variants, memoization, fleet
-  /// scheduling and span settings.
+  /// frame-stream identity across damage culling, fleet scheduling and span
+  /// settings.
   bool hash_frames = false;
   /// Observability sink (optional, not owned; must outlive the run).
   obs::ObsSink* obs = nullptr;
@@ -134,8 +130,8 @@ struct ExperimentResult {
   std::uint64_t final_frame_hash = 0;
   /// Fold of every composed frame's full-buffer fingerprint
   /// (Framebuffer::fast_hash); 0 unless `hash_frames` was set.  Each frame's
-  /// fingerprint covers the whole buffer, not just its damage, so the value
-  /// is invariant to memoization and kernel choice -- exactly what the
+  /// fingerprint covers the whole buffer, not just its damage, so a pixel
+  /// written outside the damage still moves the value -- exactly what the
   /// differential oracles compare.  FrameStreamHasher computes it by
   /// rehashing only from each frame's first damaged row on.
   std::uint64_t frame_stream_hash = 0;

@@ -1,4 +1,4 @@
-// Merge-law tests for the streaming aggregates (DESIGN.md section 13):
+// Merge-law tests for the streaming aggregates (DESIGN.md section 12):
 // identity, associativity, order-independence of every integral field, and
 // byte-identical encodes under the fixed fold order -- the properties that
 // make a resumed campaign's merged output equal an uninterrupted one.

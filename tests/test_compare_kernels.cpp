@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "gfx/framebuffer.h"
@@ -138,225 +137,6 @@ TEST(Gather, PullsScatteredIndices) {
   kernels::gather(fb.pixels(), idx, out.data());
   for (std::size_t k = 0; k < idx.size(); ++k) {
     EXPECT_EQ(out[k], fb.pixels()[idx[k]]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Kernel-variant differential harness.
-//
-// Every dispatched table (SSE2, AVX2, and whatever a future port adds) must
-// be byte-identical to the scalar reference.  The geometry sweep is chosen
-// to hit every tail-handling path of a 16/32-byte-chunk kernel: widths 0-65
-// pixels (= 0-195 bytes, crossing both vector widths several times),
-// unaligned start offsets, odd strides that differ between the two buffers,
-// and planted single-byte differences at the first, middle, and last pixel
-// of a span -- in each of the three colour channels.
-// ---------------------------------------------------------------------------
-
-std::vector<Rgb888> random_pixels(std::size_t n, sim::Rng& rng) {
-  std::vector<Rgb888> px(n);
-  for (Rgb888& p : px) {
-    p = Rgb888::from_packed(static_cast<std::uint32_t>(rng.next_u64()));
-  }
-  return px;
-}
-
-/// Flips one channel of one pixel; returns a restorer-friendly old value.
-Rgb888 plant_diff(std::vector<Rgb888>& px, std::size_t at, int channel) {
-  const Rgb888 old = px[at];
-  Rgb888 changed = old;
-  auto* bytes = reinterpret_cast<std::uint8_t*>(&changed);
-  bytes[channel] = static_cast<std::uint8_t>(bytes[channel] ^ 0x80);
-  px[at] = changed;
-  return old;
-}
-
-TEST(KernelVariants, ScalarIsAlwaysAvailableAndLookupsWork) {
-  const auto& variants = kernels::available_kernels();
-  ASSERT_FALSE(variants.empty());
-  EXPECT_STREQ(variants.front()->name, "scalar");
-  EXPECT_EQ(kernels::find_kernels("scalar"), &kernels::scalar_kernels());
-  EXPECT_EQ(kernels::find_kernels("not-a-kernel"), nullptr);
-  // The active table is one of the available ones.
-  bool found = false;
-  for (const kernels::KernelOps* ops : variants) {
-    if (ops == &kernels::active_kernels()) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(KernelVariants, ScopedOverrideSwapsAndRestores) {
-  const kernels::KernelOps* before = &kernels::active_kernels();
-  {
-    kernels::ScopedKernelOverride force(kernels::scalar_kernels());
-    EXPECT_EQ(&kernels::active_kernels(), &kernels::scalar_kernels());
-  }
-  EXPECT_EQ(&kernels::active_kernels(), before);
-}
-
-TEST(KernelVariants, RowsEqualAndFirstDiffMatchScalarExhaustively) {
-  sim::Rng rng(29);
-  const int stride = 71;  // odd on purpose: no span starts vector-aligned
-  const int rows = 6;
-  const std::vector<Rgb888> a =
-      random_pixels(static_cast<std::size_t>(stride) * rows, rng);
-  std::vector<Rgb888> b = a;
-
-  for (const kernels::KernelOps* ops : kernels::available_kernels()) {
-    SCOPED_TRACE(ops->name);
-    for (int w = 0; w <= 65; ++w) {
-      for (int x0 : {0, 1, 2, 3, 5}) {
-        if (x0 + w > stride) continue;
-        const Rect r{x0, 1, w, rows - 2};
-        ASSERT_TRUE(ops->rows_equal(a.data(), b.data(), stride, r));
-        ASSERT_FALSE(ops->first_diff(a.data(), b.data(), stride, r).found);
-        if (w == 0) continue;
-        // Plant a one-byte diff at the first, middle, and last pixel of the
-        // middle row of the span, in every channel.
-        const int y = r.y + r.height / 2;
-        for (const int dx : {0, w / 2, w - 1}) {
-          for (int channel = 0; channel < 3; ++channel) {
-            const std::size_t at =
-                static_cast<std::size_t>(y) * stride + x0 + dx;
-            const Rgb888 old = plant_diff(b, at, channel);
-            ASSERT_FALSE(ops->rows_equal(a.data(), b.data(), stride, r))
-                << "w=" << w << " x0=" << x0 << " dx=" << dx;
-            const kernels::FirstDiff got =
-                ops->first_diff(a.data(), b.data(), stride, r);
-            const kernels::FirstDiff want =
-                kernels::scalar::first_diff(a.data(), b.data(), stride, r);
-            ASSERT_TRUE(got.found);
-            ASSERT_EQ(got.at, want.at) << "w=" << w << " x0=" << x0;
-            b[at] = old;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelVariants, RowsEqualOffsetMatchesScalarAcrossOddStrides) {
-  sim::Rng rng(31);
-  const int a_stride = 71, b_stride = 67, rows = 8;
-  const std::vector<Rgb888> big =
-      random_pixels(static_cast<std::size_t>(a_stride) * rows, rng);
-  // Build `small` as a copy of a window of `big`, with its own odd stride.
-  std::vector<Rgb888> small(static_cast<std::size_t>(b_stride) * rows);
-  sim::Rng fill_rng(37);
-  for (Rgb888& p : small) {
-    p = Rgb888::from_packed(static_cast<std::uint32_t>(fill_rng.next_u64()));
-  }
-  const Point origin{3, 2};
-  for (int w = 0; w <= 65; ++w) {
-    for (int x0 : {0, 1, 3}) {
-      if (x0 + w > b_stride || origin.x + w > a_stride) continue;
-      const Rect win{x0, 1, w, rows - 3};
-      for (int row = 0; row < win.height; ++row) {
-        for (int col = 0; col < w; ++col) {
-          small[static_cast<std::size_t>(win.y + row) * b_stride + x0 + col] =
-              big[static_cast<std::size_t>(origin.y + row) * a_stride +
-                  origin.x + col];
-        }
-      }
-      for (const kernels::KernelOps* ops : kernels::available_kernels()) {
-        SCOPED_TRACE(ops->name);
-        ASSERT_TRUE(ops->rows_equal_offset(small.data(), b_stride, win,
-                                           big.data(), a_stride, origin))
-            << "w=" << w << " x0=" << x0;
-        if (w == 0) continue;
-        const std::size_t at =
-            static_cast<std::size_t>(win.y) * b_stride + x0 + w - 1;
-        const Rgb888 old = plant_diff(small, at, 2);
-        ASSERT_FALSE(ops->rows_equal_offset(small.data(), b_stride, win,
-                                            big.data(), a_stride, origin))
-            << "w=" << w << " x0=" << x0;
-        small[at] = old;
-      }
-    }
-  }
-}
-
-TEST(KernelVariants, CopyRowsMatchesScalarByteForByte) {
-  sim::Rng rng(41);
-  const int src_stride = 69, dst_stride = 73, rows = 8;
-  const std::vector<Rgb888> src =
-      random_pixels(static_cast<std::size_t>(src_stride) * rows, rng);
-  const std::vector<Rgb888> canvas =
-      random_pixels(static_cast<std::size_t>(dst_stride) * rows, rng);
-
-  for (const kernels::KernelOps* ops : kernels::available_kernels()) {
-    SCOPED_TRACE(ops->name);
-    for (int w = 0; w <= 65; ++w) {
-      for (int x0 : {0, 1, 2, 5}) {
-        if (x0 + w > src_stride || x0 + 1 + w > dst_stride) continue;
-        const kernels::CopyWindow win{Point{x0, 1}, Point{x0 + 1, 2},
-                                      Size{w, rows - 3}};
-        std::vector<Rgb888> got = canvas;
-        std::vector<Rgb888> want = canvas;
-        ops->copy_rows(got.data(), dst_stride, src.data(), src_stride, win);
-        kernels::scalar::copy_rows(want.data(), dst_stride, src.data(),
-                                   src_stride, win);
-        ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                              got.size() * sizeof(Rgb888)),
-                  0)
-            << "w=" << w << " x0=" << x0;
-      }
-    }
-  }
-}
-
-TEST(KernelVariants, CopyRowsStreamingSpansMatchScalar) {
-  // Wide rows take the SIMD kernels' non-temporal store path (spans past
-  // ~2 KiB stream around the cache).  Sweep widths across that threshold
-  // with every destination misalignment the head-fixup must handle, and
-  // verify bytes outside the window are untouched.
-  sim::Rng rng(47);
-  const int src_stride = 1400, dst_stride = 1411, rows = 6;
-  const std::vector<Rgb888> src =
-      random_pixels(static_cast<std::size_t>(src_stride) * rows, rng);
-  const std::vector<Rgb888> canvas =
-      random_pixels(static_cast<std::size_t>(dst_stride) * rows, rng);
-
-  for (const kernels::KernelOps* ops : kernels::available_kernels()) {
-    SCOPED_TRACE(ops->name);
-    for (int w : {640, 682, 683, 684, 700, 1365, 1366, 1389}) {
-      for (int x0 : {0, 1, 2, 3, 7, 11, 16, 21}) {
-        if (x0 + w > src_stride || x0 + 1 + w > dst_stride) continue;
-        const kernels::CopyWindow win{Point{x0, 1}, Point{x0 + 1, 2},
-                                      Size{w, rows - 3}};
-        std::vector<Rgb888> got = canvas;
-        std::vector<Rgb888> want = canvas;
-        ops->copy_rows(got.data(), dst_stride, src.data(), src_stride, win);
-        kernels::scalar::copy_rows(want.data(), dst_stride, src.data(),
-                                   src_stride, win);
-        ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                              got.size() * sizeof(Rgb888)),
-                  0)
-            << "w=" << w << " x0=" << x0;
-      }
-    }
-  }
-}
-
-TEST(KernelVariants, GatherMatchesScalarIncludingLastPixel) {
-  sim::Rng rng(43);
-  const std::size_t n = 25 * 25;
-  const std::vector<Rgb888> px = random_pixels(n, rng);
-  std::vector<std::size_t> idx;
-  for (int k = 0; k < 200; ++k) {
-    idx.push_back(static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
-  }
-  // The very last pixel is the overread trap: a 4-byte wide copy of a 3-byte
-  // pixel would read one byte past the buffer (ASan runs this test too).
-  idx.push_back(n - 1);
-  for (const kernels::KernelOps* ops : kernels::available_kernels()) {
-    SCOPED_TRACE(ops->name);
-    std::vector<Rgb888> got(idx.size());
-    std::vector<Rgb888> want(idx.size());
-    ops->gather(px.data(), idx.data(), idx.size(), got.data());
-    kernels::scalar::gather(px.data(), idx.data(), idx.size(), want.data());
-    ASSERT_EQ(got, want);
   }
 }
 

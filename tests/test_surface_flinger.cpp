@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,21 +79,6 @@ TEST_F(FlingerTest, RedrawingIdenticalPixelsIsNotAContentChange) {
   EXPECT_FALSE(listener_.frames[1].content_changed);
 }
 
-TEST_F(FlingerTest, OptimisticModeTrustsDirtyRect) {
-  flinger_.set_exact_change_detection(false);
-  Surface* s = flinger_.create_surface("a", Rect{0, 0, 64, 64}, 0);
-  Canvas& c1 = s->begin_frame();
-  c1.fill_rect(Rect{0, 0, 8, 8}, colors::kRed);
-  s->post_frame();
-  flinger_.on_vsync(sim::Time{});
-  Canvas& c2 = s->begin_frame();
-  c2.fill_rect(Rect{0, 0, 8, 8}, colors::kRed);  // identical pixels
-  s->post_frame();
-  flinger_.on_vsync(sim::Time{1});
-  // Optimistic mode cannot tell: it reports a change because dirty != empty.
-  EXPECT_TRUE(listener_.frames[1].content_changed);
-}
-
 TEST_F(FlingerTest, SurfacePositionOffsetsComposition) {
   Surface* s = flinger_.create_surface("a", Rect{10, 20, 16, 16}, 0);
   Canvas& c = s->begin_frame();
@@ -167,12 +151,11 @@ TEST_F(FlingerTest, CountsSurfacesLatched) {
 // Frames are composed in place into the buffer that holds frame N-1.  For
 // seeded paint sequences over overlapping z-ordered surfaces -- including
 // frames where a lower surface changes pixels that a higher one then writes
-// back -- every flinger variant (tile memo on/off x exact change detection
-// on/off) must keep:
+// back -- the flinger must keep:
 //  - the damage contract: pixels outside FrameInfo::damage equal frame N-1;
-//  - content_changed true whenever the frame differs from frame N-1;
-//  - memo on and off agreeing on the frame, content_changed and
-//    composed_pixels.
+//  - content_changed exactly as documented: true iff some latched dirty
+//    rect differed from frame N-1 where it landed (checked against a
+//    per-pixel model), so write-back frames equal to frame N-1 are flagged.
 
 /// Keeps copies of the last two frames the flinger delivered.
 class FrameCopy final : public FrameListener {
@@ -188,29 +171,14 @@ class FrameCopy final : public FrameListener {
   FrameInfo last;
 };
 
-constexpr Size kPropScreen{160, 120};  // 3x2 tiles, right/bottom partial
+constexpr Size kPropScreen{160, 120};
 // base, mid, an edge surface clipped by the screen, and top, which sits over
-// base and mid.
+// base and mid.  Surface i has z-order i.
 constexpr std::array<Rect, 4> kPropSurfaces{
     Rect{0, 0, 160, 120}, Rect{24, 16, 96, 72}, Rect{112, 84, 64, 48},
     Rect{40, 32, 72, 56}};
 constexpr std::size_t kBase = 0;
 constexpr std::size_t kTop = 3;
-
-struct FlingerRig {
-  FlingerRig(bool memo, bool exact) : flinger(kPropScreen), probe(kPropScreen) {
-    flinger.set_tile_memo(memo);
-    flinger.set_exact_change_detection(exact);
-    for (std::size_t i = 0; i < kPropSurfaces.size(); ++i) {
-      surfaces.push_back(flinger.create_surface(
-          "s" + std::to_string(i), kPropSurfaces[i], static_cast<int>(i)));
-    }
-    flinger.add_listener(&probe);
-  }
-  SurfaceFlinger flinger;
-  FrameCopy probe;
-  std::vector<Surface*> surfaces;
-};
 
 /// One surface's drawing for a frame: fills, or marks dirty without drawing
 /// (a redundant redraw of the pixels it already holds).
@@ -227,17 +195,42 @@ Rect random_rect(sim::Rng& rng, Size bounds) {
               static_cast<int>(rng.uniform_int(1, 48))};
 }
 
-TEST(FlingerInPlace, DamageContractAndMemoIdentityOverSeededPaints) {
+/// The documented content_changed rule, pixel by pixel: does any latched
+/// dirty rect (surface-local, in z order) carry a pixel that differs from
+/// frame N-1 at the screen position it lands on?
+bool model_content_changed(
+    const std::vector<Surface*>& surfaces,
+    const std::array<Region, kPropSurfaces.size()>& latched,
+    const Framebuffer& prev) {
+  for (std::size_t i = 0; i < surfaces.size(); ++i) {
+    const Rect sr = surfaces[i]->screen_rect();
+    for (const Rect& local : latched[i].rects()) {
+      const Rect on_screen =
+          local.translated(sr.x, sr.y).intersect(Rect::of(kPropScreen));
+      for (int y = on_screen.y; y < on_screen.bottom(); ++y) {
+        for (int x = on_screen.x; x < on_screen.right(); ++x) {
+          if (surfaces[i]->buffer().at(x - sr.x, y - sr.y) != prev.at(x, y)) {
+            return true;
+          }
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(FlingerInPlace, DamageContractAndChangeRuleOverSeededPaints) {
   // A small palette makes byte-equal redraws common.
   constexpr std::array<Rgb888, 3> kPalette{colors::kRed, colors::kBlue,
                                            colors::kWhite};
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    // rigs[2 * exact + memo]
-    std::vector<std::unique_ptr<FlingerRig>> rigs;
-    for (const bool exact : {false, true}) {
-      for (const bool memo : {false, true}) {
-        rigs.push_back(std::make_unique<FlingerRig>(memo, exact));
-      }
+    SurfaceFlinger flinger(kPropScreen);
+    FrameCopy probe(kPropScreen);
+    flinger.add_listener(&probe);
+    std::vector<Surface*> surfaces;
+    for (std::size_t i = 0; i < kPropSurfaces.size(); ++i) {
+      surfaces.push_back(flinger.create_surface(
+          "s" + std::to_string(i), kPropSurfaces[i], static_cast<int>(i)));
     }
     sim::Rng rng(seed);
     const auto pick_color = [&] {
@@ -245,7 +238,6 @@ TEST(FlingerInPlace, DamageContractAndMemoIdentityOverSeededPaints) {
     };
     int write_backs = 0;
     for (int step = 0; step < 150; ++step) {
-      // Draw this frame's paint program once; every rig replays it.
       std::array<std::vector<PaintOp>, kPropSurfaces.size()> ops;
       std::array<bool, kPropSurfaces.size()> posts{};
       if (rng.chance(0.3)) {
@@ -273,58 +265,42 @@ TEST(FlingerInPlace, DamageContractAndMemoIdentityOverSeededPaints) {
         }
       }
 
-      std::vector<bool> composed;
-      for (auto& rig : rigs) {
-        for (std::size_t i = 0; i < kPropSurfaces.size(); ++i) {
-          if (!posts[i]) continue;
-          Canvas& c = rig->surfaces[i]->begin_frame();
-          for (const PaintOp& op : ops[i]) {
-            if (op.mark_only) {
-              c.mark_dirty(op.rect);
-            } else {
-              c.fill_rect(op.rect, op.color);
-            }
+      std::array<Region, kPropSurfaces.size()> latched;
+      for (std::size_t i = 0; i < kPropSurfaces.size(); ++i) {
+        if (!posts[i]) continue;
+        Canvas& c = surfaces[i]->begin_frame();
+        for (const PaintOp& op : ops[i]) {
+          if (op.mark_only) {
+            c.mark_dirty(op.rect);
+          } else {
+            c.fill_rect(op.rect, op.color);
           }
-          rig->surfaces[i]->post_frame();
         }
-        composed.push_back(rig->flinger.on_vsync(sim::Time{step}));
+        surfaces[i]->post_frame();
+        latched[i] = surfaces[i]->pending_dirty_region();
       }
-      for (const bool c : composed) ASSERT_EQ(c, composed[0]);
-      if (!composed[0]) continue;
+      if (!flinger.on_vsync(sim::Time{step})) continue;
 
-      for (const auto& rig : rigs) {
-        const FrameCopy& p = rig->probe;
-        // Damage contract: frame N-1 patched with frame N's damage is
-        // frame N.
-        Framebuffer patched = p.prev;
-        for (const Rect& r : p.last.damage.rects()) {
-          patched.blit(p.cur, r, Point{r.x, r.y});
-        }
-        ASSERT_TRUE(patched.equals(p.cur))
-            << "seed " << seed << " step " << step << ": pixel outside damage";
-        if (!p.cur.equals(p.prev)) {
-          ASSERT_TRUE(p.last.content_changed)
-              << "seed " << seed << " step " << step;
-        }
-        ASSERT_TRUE(p.cur.equals(rigs[0]->probe.cur))
+      // Damage contract: frame N-1 patched with frame N's damage is
+      // frame N.
+      Framebuffer patched = probe.prev;
+      for (const Rect& r : probe.last.damage.rects()) {
+        patched.blit(probe.cur, r, Point{r.x, r.y});
+      }
+      ASSERT_TRUE(patched.equals(probe.cur))
+          << "seed " << seed << " step " << step << ": pixel outside damage";
+      ASSERT_EQ(probe.last.content_changed,
+                model_content_changed(surfaces, latched, probe.prev))
+          << "seed " << seed << " step " << step;
+      if (!probe.cur.equals(probe.prev)) {
+        ASSERT_TRUE(probe.last.content_changed)
             << "seed " << seed << " step " << step;
-      }
-      for (const std::size_t exact : {0u, 1u}) {
-        const FrameInfo& off = rigs[2 * exact]->probe.last;
-        const FrameInfo& on = rigs[2 * exact + 1]->probe.last;
-        ASSERT_EQ(on.content_changed, off.content_changed)
-            << "seed " << seed << " step " << step << " exact " << exact;
-        ASSERT_EQ(on.composed_pixels, off.composed_pixels)
-            << "seed " << seed << " step " << step << " exact " << exact;
-      }
-      const FrameCopy& exact_probe = rigs[3]->probe;
-      if (exact_probe.last.content_changed &&
-          exact_probe.cur.equals(exact_probe.prev)) {
+      } else if (probe.last.content_changed) {
         ++write_backs;
       }
     }
     // The sequence really exercised frames whose writes were all undone
-    // before the end of the frame.
+    // before the end of the frame, and flagged them.
     EXPECT_GT(write_backs, 0) << "seed " << seed;
   }
 }
